@@ -4,17 +4,23 @@
 //!
 //! Two measurements:
 //!
-//! 1. **Fused vs reference LocalSort** on a pipeline-realistic receive-side
-//!    workload: per-sender message buffers as they come out of the
-//!    all-to-all, keys with metagenome-like abundance skew (a few dominant
-//!    genomes concentrate most tuples in narrow key windows — the regime
-//!    where sub-range bit pruning bites, cf. DESIGN.md §7.2), mass-balanced
-//!    sub-range boundaries like the plan's. The fused path
-//!    ([`metaprep_sort::fused_local_sort`]) scatters straight from the
-//!    parts and prunes radix passes; the reference path is the old
+//! 1. **Fused vs reference LocalSort** on three receive-side workloads:
+//!    per-sender message buffers as they come out of the all-to-all.
+//!    * *skewed*: keys with metagenome-like abundance skew (a few dominant
+//!      genomes concentrate most tuples in narrow key windows) and
+//!      mass-balanced sub-range boundaries like the plan's;
+//!    * *single range*: uniform 54-bit keys and no boundaries — the shape
+//!      every pass takes with one thread per task;
+//!    * *kmer128*: the same shape with 126-bit keys in `KmerReadTuple128`,
+//!      the k = 63 path.
+//!
+//!    The fused path ([`metaprep_sort::fused_local_sort`]) scatters
+//!    straight from the parts into `(sub-range, MSD digit)` buckets and
+//!    radix-sorts each bucket in cache; the reference path is the old
 //!    pipeline: concat → partition → full per-range radix. Both results
 //!    are asserted byte-identical every round, and the numbers go to
-//!    `BENCH_sort.json` (or `METAPREP_BENCH_OUT`) for the perf trajectory.
+//!    `BENCH_sort.json` (or `METAPREP_BENCH_OUT`) for the perf trajectory;
+//!    the skewed row keeps the top-level keys the gates read.
 //! 2. The paper's §4.2.2 table: LocalSort vs our fully-parallel stable
 //!    LSB radix sort (the NUMA-aware-sort stand-in) vs `sort_unstable`.
 //!
@@ -25,10 +31,10 @@
 
 use crate::allocpeak;
 use crate::harness::print_table;
-use metaprep_kmer::KmerReadTuple;
+use metaprep_kmer::{KmerReadTuple, KmerReadTuple128};
 use metaprep_sort::{
     equal_boundaries_by_sample, fused_local_sort, local_sort, local_sort_with_boundaries,
-    parallel_lsb_sort, PassBuffers, RadixStats,
+    parallel_lsb_sort, Keyed, PassBuffers, RadixStats,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -42,6 +48,8 @@ const RANGES: usize = 8;
 const DIGIT_BITS: u32 = 8;
 /// Meaningful key bits (27-mers: 2k = 54).
 const KEY_BITS: u32 = 54;
+/// Meaningful key bits of the `KmerReadTuple128` row (63-mers: 2k = 126).
+const KEY_BITS_128: u32 = 126;
 /// Timed rounds per path — several, so the pooled buffers' recycling
 /// (allocate once, reuse every pass) shows up the way it does across the
 /// pipeline's passes.
@@ -90,43 +98,58 @@ struct PathResult {
     stats: RadixStats,
 }
 
-/// Run the experiment; writes `BENCH_sort.json` and returns its path.
-pub fn run(scale: f64) -> std::path::PathBuf {
-    let n = (((1usize << 22) as f64 * scale) as usize).max(SENDERS * RANGES);
-    let parts = receive_side_parts(n, 42);
-    let n = parts.iter().map(Vec::len).sum::<usize>();
-    let all: Vec<KmerReadTuple> = parts.iter().flatten().copied().collect();
-    let boundaries = equal_boundaries_by_sample(&all, RANGES, 64 * RANGES);
+/// Fused vs reference LocalSort on one receive side.
+struct Comparison {
+    fused: PathResult,
+    reference: PathResult,
+}
 
-    // Both paths get one untimed warm-up round: the pipeline runs S passes
-    // per task with pooled buffers, so steady-state per-pass cost is the
-    // quantity of interest — not the one-time first-touch page faults of a
-    // cold allocator, which on this box cost as much as the scatter
-    // itself. The reference warm-up warms the allocator's free lists the
-    // same way its per-pass reallocations do mid-pipeline.
-    {
-        let mut tuples: Vec<KmerReadTuple> = Vec::with_capacity(n);
-        for p in &parts {
+impl Comparison {
+    fn ratio(&self) -> f64 {
+        self.fused.mtuples_per_s / self.reference.mtuples_per_s
+    }
+}
+
+/// Time [`ROUNDS`] rounds of the reference path (concat → partition → full
+/// per-range radix) and of the fused path over `parts`, asserting the two
+/// byte-identical every round.
+///
+/// Both paths get one untimed warm-up round: the pipeline runs S passes
+/// per task with pooled buffers, so steady-state per-pass cost is the
+/// quantity of interest — not the one-time first-touch page faults of a
+/// cold allocator, which can cost as much as the scatter itself.
+/// The reference warm-up warms the allocator's free lists the same way
+/// its per-pass reallocations do mid-pipeline.
+fn compare<T: Keyed + Default + PartialEq + std::fmt::Debug>(
+    parts: &[Vec<T>],
+    boundaries: &[T::Key],
+    key_bits: u32,
+) -> Comparison {
+    let n: usize = parts.iter().map(Vec::len).sum();
+    let concat = || {
+        let mut tuples: Vec<T> = Vec::with_capacity(n);
+        for p in parts {
             tuples.extend_from_slice(p);
         }
-        let mut scratch = vec![KmerReadTuple::default(); n];
-        local_sort_with_boundaries(&mut tuples, &mut scratch, &boundaries, DIGIT_BITS, KEY_BITS);
+        tuples
+    };
+    {
+        let mut tuples = concat();
+        let mut scratch = vec![T::default(); n];
+        local_sort_with_boundaries(&mut tuples, &mut scratch, boundaries, DIGIT_BITS, key_bits);
     }
 
     // --- reference: concat -> partition -> full per-range radix ---------
     let mut ref_secs = 0.0;
     let mut ref_peak: Option<usize> = allocpeak::installed().then_some(0);
-    let mut ref_sorted: Vec<KmerReadTuple> = Vec::new();
+    let mut ref_sorted: Vec<T> = Vec::new();
     for _ in 0..ROUNDS {
         allocpeak::reset_peak();
         let before = allocpeak::peak_bytes();
         let t0 = Instant::now();
-        let mut tuples: Vec<KmerReadTuple> = Vec::with_capacity(n);
-        for p in &parts {
-            tuples.extend_from_slice(p);
-        }
-        let mut scratch = vec![KmerReadTuple::default(); tuples.len()];
-        local_sort_with_boundaries(&mut tuples, &mut scratch, &boundaries, DIGIT_BITS, KEY_BITS);
+        let mut tuples = concat();
+        let mut scratch = vec![T::default(); tuples.len()];
+        local_sort_with_boundaries(&mut tuples, &mut scratch, boundaries, DIGIT_BITS, key_bits);
         drop(scratch);
         ref_secs += t0.elapsed().as_secs_f64();
         if let Some(p) = ref_peak.as_mut() {
@@ -134,41 +157,40 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         }
         ref_sorted = tuples;
     }
-    // Every nonempty sub-range pays ceil(54 / bits) passes (a full
-    // counting scan each; identity passes skip only the scatter half).
+    // Every sub-range of two or more tuples pays ceil(key_bits / bits)
+    // passes (a full counting scan each; identity passes skip only the
+    // scatter half).
     let nonempty = {
-        let mut dst = vec![KmerReadTuple::default(); n];
-        let offs = metaprep_sort::partition_by_ranges(&ref_sorted, &mut dst, &boundaries);
+        let mut dst = vec![T::default(); n];
+        let offs = metaprep_sort::partition_by_ranges(&ref_sorted, &mut dst, boundaries);
         offs.windows(2).filter(|w| w[1] - w[0] > 1).count()
-    };
-    let ref_stats = RadixStats {
-        passes_run: (ROUNDS * nonempty) as u64 * u64::from(KEY_BITS.div_ceil(DIGIT_BITS)),
-        passes_pruned: 0,
     };
     let reference = PathResult {
         secs: ref_secs,
         mtuples_per_s: (n * ROUNDS) as f64 / ref_secs / 1e6,
         peak_alloc: ref_peak,
-        stats: ref_stats,
+        stats: RadixStats {
+            passes_run: (ROUNDS * nonempty) as u64 * u64::from(key_bits.div_ceil(DIGIT_BITS)),
+            passes_pruned: 0,
+        },
     };
 
-    // --- fused: scatter-on-receive + pruned radix, pooled buffers -------
-    let mut bufs: PassBuffers<KmerReadTuple> = PassBuffers::new();
+    // --- fused: bucketed scatter + in-cache radix, pooled buffers -------
+    let mut bufs: PassBuffers<T> = PassBuffers::new();
     // Untimed warm-up round: populates the pooled buffers once, as the
-    // pipeline's first pass does (see the comment above the reference
-    // warm-up).
-    fused_local_sort(parts.clone(), &mut bufs, &boundaries, DIGIT_BITS, KEY_BITS);
+    // pipeline's first pass does.
+    fused_local_sort(parts.to_vec(), &mut bufs, boundaries, DIGIT_BITS, key_bits);
     let mut fused_secs = 0.0;
     let mut fused_peak: Option<usize> = allocpeak::installed().then_some(0);
     let mut fused_stats = RadixStats::default();
     for round in 0..ROUNDS {
         // The pipeline gets the parts from the all-to-all for free; the
         // clone standing in for them stays outside the timed region.
-        let round_parts = parts.clone();
+        let round_parts = parts.to_vec();
         allocpeak::reset_peak();
         let before = allocpeak::peak_bytes();
         let t0 = Instant::now();
-        let res = fused_local_sort(round_parts, &mut bufs, &boundaries, DIGIT_BITS, KEY_BITS);
+        let res = fused_local_sort(round_parts, &mut bufs, boundaries, DIGIT_BITS, key_bits);
         fused_secs += t0.elapsed().as_secs_f64();
         if let Some(p) = fused_peak.as_mut() {
             *p = (*p).max(allocpeak::peak_bytes() - before);
@@ -186,49 +208,105 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         peak_alloc: fused_peak,
         stats: fused_stats,
     };
+    Comparison { fused, reference }
+}
+
+/// `n` tuples with uniform keys below `2^key_bits`, split evenly over the
+/// senders — the receive side of a one-thread-per-task pipeline pass.
+fn uniform_parts<T>(
+    n: usize,
+    seed: u64,
+    key_bits: u32,
+    make: impl Fn(u128, u32) -> T,
+) -> Vec<Vec<T>> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mask = (1u128 << key_bits) - 1;
+    let per_sender = n / SENDERS;
+    (0..SENDERS)
+        .map(|s| {
+            (0..per_sender)
+                .map(|i| {
+                    let key = ((u128::from(rng.gen::<u64>()) << 64) | u128::from(rng.gen::<u64>()))
+                        & mask;
+                    make(key, (s * per_sender + i) as u32)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Run the experiment; writes `BENCH_sort.json` and returns its path.
+pub fn run(scale: f64) -> std::path::PathBuf {
+    let n = (((1usize << 22) as f64 * scale) as usize).max(SENDERS * RANGES);
+    let parts = receive_side_parts(n, 42);
+    let n = parts.iter().map(Vec::len).sum::<usize>();
+    let all: Vec<KmerReadTuple> = parts.iter().flatten().copied().collect();
+    let boundaries = equal_boundaries_by_sample(&all, RANGES, 64 * RANGES);
+
+    let skewed = compare(&parts, &boundaries, KEY_BITS);
     assert!(
-        fused.stats.passes_pruned > 0,
+        skewed.fused.stats.passes_pruned > 0,
         "skewed receive-side workload must prune radix passes"
     );
+    // The shapes the pipeline runs with one thread per task: a single
+    // sub-range of uniform 54-bit keys (k = 27), and of 126-bit keys in
+    // `KmerReadTuple128` (k = 63).
+    let single = compare(
+        &uniform_parts(n, 43, KEY_BITS, |k, r| KmerReadTuple::new(k as u64, r)),
+        &[],
+        KEY_BITS,
+    );
+    let wide = compare(
+        &uniform_parts(n, 44, KEY_BITS_128, KmerReadTuple128::new),
+        &[],
+        KEY_BITS_128,
+    );
 
-    let ratio = fused.mtuples_per_s / reference.mtuples_per_s;
     let fmt_peak = |p: Option<usize>| {
         p.map(|b| format!("{:.1}", b as f64 / 1e6))
             .unwrap_or_else(|| "n/a".into())
     };
-    print_table(
-        &format!(
-            "fused vs reference LocalSort, {n} tuples x {ROUNDS} rounds, \
-             {SENDERS} senders, {RANGES} sub-ranges"
+    let row = |name: &str, p: &PathResult| {
+        vec![
+            name.to_string(),
+            format!("{:.3}", p.secs),
+            format!("{:.1}", p.mtuples_per_s),
+            p.stats.passes_run.to_string(),
+            p.stats.passes_pruned.to_string(),
+            fmt_peak(p.peak_alloc),
+        ]
+    };
+    for (title, c) in [
+        (
+            format!("{SENDERS} senders, {RANGES} skewed sub-ranges, {KEY_BITS}-bit keys"),
+            &skewed,
         ),
-        &[
-            "Path",
-            "Time (s)",
-            "Mtuples/s",
-            "Passes run",
-            "Pruned",
-            "Peak MB",
-        ],
-        &[
-            vec![
-                "fused (scatter-on-receive)".into(),
-                format!("{:.3}", fused.secs),
-                format!("{:.1}", fused.mtuples_per_s),
-                fused.stats.passes_run.to_string(),
-                fused.stats.passes_pruned.to_string(),
-                fmt_peak(fused.peak_alloc),
+        (
+            format!("{SENDERS} senders, one uniform sub-range, {KEY_BITS}-bit keys"),
+            &single,
+        ),
+        (
+            format!("{SENDERS} senders, one uniform sub-range, {KEY_BITS_128}-bit keys"),
+            &wide,
+        ),
+    ] {
+        print_table(
+            &format!("fused vs reference LocalSort, {n} tuples x {ROUNDS} rounds, {title}"),
+            &[
+                "Path",
+                "Time (s)",
+                "Mtuples/s",
+                "Passes run",
+                "Pruned",
+                "Peak MB",
             ],
-            vec![
-                "reference (concat+partition)".into(),
-                format!("{:.3}", reference.secs),
-                format!("{:.1}", reference.mtuples_per_s),
-                reference.stats.passes_run.to_string(),
-                reference.stats.passes_pruned.to_string(),
-                fmt_peak(reference.peak_alloc),
+            &[
+                row("fused (bucketed scatter)", &c.fused),
+                row("reference (concat+partition)", &c.reference),
             ],
-        ],
-    );
-    println!("  fused is {ratio:.2}x the reference throughput");
+        );
+        println!("  fused is {:.2}x the reference throughput", c.ratio());
+    }
 
     // --- paper §4.2.2: LocalSort vs parallel radix vs std ---------------
     comparator_table(&all);
@@ -268,9 +346,29 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         "  \"scatter_bytes\": {},\n",
         (n * ROUNDS) as u64 * std::mem::size_of::<KmerReadTuple>() as u64
     ));
-    json.push_str(&format!("  \"fused\": {},\n", path_json(&fused)));
-    json.push_str(&format!("  \"reference\": {},\n", path_json(&reference)));
-    json.push_str(&format!("  \"fused_over_reference\": {ratio:.3}\n}}\n"));
+    json.push_str(&format!("  \"fused\": {},\n", path_json(&skewed.fused)));
+    json.push_str(&format!(
+        "  \"reference\": {},\n",
+        path_json(&skewed.reference)
+    ));
+    // The extra rows come after the skewed row, under their own key names,
+    // so the first `"fused"`, `"radix_passes_pruned"` and
+    // `"fused_over_reference"` the gates look up stay the skewed row's.
+    for (name, c) in [("single_range", &single), ("kmer128", &wide)] {
+        json.push_str(&format!(
+            "  \"{name}\": {{\"fused\": {}, \"reference\": {}}},\n",
+            path_json(&c.fused),
+            path_json(&c.reference)
+        ));
+        json.push_str(&format!(
+            "  \"{name}_fused_over_reference\": {:.3},\n",
+            c.ratio()
+        ));
+    }
+    json.push_str(&format!(
+        "  \"fused_over_reference\": {:.3}\n}}\n",
+        skewed.ratio()
+    ));
 
     let out = std::env::var("METAPREP_BENCH_OUT")
         .map(std::path::PathBuf::from)

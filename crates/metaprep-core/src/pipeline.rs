@@ -753,10 +753,11 @@ fn attempt_body<K: PipelineKmer, S: ChunkSource>(
     }
 
     let key_bits = 2 * cfg.k as u32;
-    // Pooled LocalSort buffers: destination, radix scratch, and the
-    // debug-build scatter tracker are allocated on the first pass and
-    // recycled across all passes (the unfused path re-allocated and
-    // zero-initialized both big vectors every pass).
+    // Pooled LocalSort buffers: destination, range ids, per-thread bucket
+    // scratch and the debug-build scatter tracker are allocated on the
+    // first pass and recycled across all passes. They grow exactly to the
+    // largest pass, freeing the smaller allocation first, so a later,
+    // slightly larger pass neither doubles them nor holds two copies.
     let mut sort_bufs: PassBuffers<K::Tuple> = PassBuffers::new();
 
     let pass_range = if resume_merge.is_some() {
@@ -855,16 +856,17 @@ fn attempt_body<K: PipelineKmer, S: ChunkSource>(
         // Per-pass tuple residency peaks twice: during the all-to-all the
         // outgoing send buffers coexist with the received parts (out + in
         // — the old `2 * in` accounting missed the send side and under-
-        // reported), and during the fused LocalSort the received parts
-        // coexist with the partitioned destination during the scatter,
-        // then the destination with its radix scratch (2 * in either way;
-        // the unfused third concat copy is gone). Capacity the pooled
-        // buffers carry between passes is deliberately not modeled — the
-        // measured allocator peak covers it.
+        // reported), and during the fused LocalSort's scatter the received
+        // parts coexist with the bucketed destination (2 * in; the unfused
+        // third concat copy is gone). The radix phase that follows holds
+        // only the destination plus one bucket-sized scratch per thread,
+        // so the scatter sets the sort's peak. Capacity the pooled buffers
+        // carry between passes is deliberately not modeled — the measured
+        // allocator peak covers it.
         peak_tuples = peak_tuples.max(out_tuples + received as u64);
         peak_tuples = peak_tuples.max(2 * received as u64);
 
-        // ---- LocalSort (fused: scatter-on-receive + pruned radix) ----
+        // ---- LocalSort (fused: bucketed scatter + in-cache radix) ----
         let t0 = obs.open();
         let boundaries: Vec<<K as metaprep_kmer::Kmer>::Repr> = plan
             .thread_boundaries(pass, rank)

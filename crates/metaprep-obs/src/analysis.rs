@@ -88,8 +88,6 @@ pub enum SegmentKind {
         /// Bytes carried by the message followed.
         bytes: u64,
     },
-    /// Time before the rank's first recorded activity.
-    Startup,
 }
 
 /// One tile of the critical path: `[start_ns, end_ns]` attributed to
@@ -120,7 +118,6 @@ impl CpSegment {
             SegmentKind::Span { name, .. } => name.clone(),
             SegmentKind::Idle => "(idle)".to_string(),
             SegmentKind::Transfer { stage, .. } => format!("(transfer) {stage}"),
-            SegmentKind::Startup => "(startup)".to_string(),
         }
     }
 }
@@ -474,8 +471,11 @@ impl TraceAnalysis {
     ///   part, the walk emits the span tail after the arrival, a
     ///   transfer segment spanning the message flight, and hops to the
     ///   sending rank at the send timestamp;
-    /// * a rank with no earlier activity closes the path with a startup
-    ///   segment down to `global_start`.
+    /// * a rank with no earlier activity hands the walk to the rank of the
+    ///   latest-ending span below the frontier (such as the IndexCreate
+    ///   span the pipeline records on task 0 before any task starts), so
+    ///   that time is named by the span that covers it rather than an
+    ///   anonymous startup bucket.
     pub fn critical_path(&self) -> Vec<CpSegment> {
         let spans = self.cp_spans();
         let Some((global_start, global_end)) = self.run_interval() else {
@@ -523,13 +523,21 @@ impl TraceAnalysis {
                 })
                 .copied();
             let Some(carrier) = carrier else {
-                path.push(CpSegment {
-                    task: cur,
-                    start_ns: global_start,
-                    end_ns: frontier,
-                    kind: SegmentKind::Startup,
-                });
-                frontier = global_start;
+                // Nothing ran on `cur` before the frontier: the time below
+                // belongs to whatever ran elsewhere — in a pipeline trace,
+                // the IndexCreate span on task 0. Continue the walk on the
+                // rank of the latest-ending span that starts below the
+                // frontier; its gap, if any, becomes idle there. One always
+                // exists, because the run interval starts at the earliest
+                // span.
+                let Some(covering) = spans
+                    .iter()
+                    .filter(|s| s.start_ns < frontier)
+                    .max_by(|a, b| a.end_ns.cmp(&b.end_ns).then(b.task.cmp(&a.task)))
+                else {
+                    break;
+                };
+                cur = covering.task;
                 continue;
             };
             if carrier.end_ns < frontier {
@@ -1143,9 +1151,10 @@ mod tests {
     }
 
     #[test]
-    fn startup_covers_rank_with_no_earlier_activity() {
-        // Task 1's span starts later than global start and an arrival
-        // pulls the walk to task 0, which has no spans at all.
+    fn rank_with_no_earlier_activity_hands_off_to_the_covering_span() {
+        // Task 1's span starts later than global start and task 1 has
+        // nothing before it, so the walk continues on task 0: the gap
+        // above task 0's span is idle there, the rest is the span itself.
         let a = TraceAnalysis::from_events(&[
             Event::Meta { tasks: 2 },
             span(1, "MergeCC", 50, 300),
@@ -1154,6 +1163,45 @@ mod tests {
         let path = a.critical_path();
         assert_tiles(&path, 0, 300);
         assert_eq!(tiling_sum(&path), 300);
+        let labels: Vec<(String, u32, u64)> = path
+            .iter()
+            .map(|s| (s.label(), s.task, s.dur_ns()))
+            .collect();
+        assert_eq!(
+            labels,
+            vec![
+                ("KmerGen".to_string(), 0, 40),
+                ("(idle)".to_string(), 0, 10),
+                ("MergeCC".to_string(), 1, 250),
+            ]
+        );
+    }
+
+    #[test]
+    fn index_create_is_named_when_the_path_ends_on_another_task() {
+        // The pipeline records IndexCreate on task 0; task 1 finishes last
+        // and has no span before its first step, so the backward walk
+        // ends on task 1. The time below that step is IndexCreate's, not
+        // an anonymous startup bucket, and the tiling stays exact.
+        let a = TraceAnalysis::from_events(&[
+            Event::Meta { tasks: 2 },
+            span(0, "IndexCreate", 0, 100),
+            span(0, "KmerGen", 100, 250),
+            span(1, "KmerGen", 100, 400),
+        ]);
+        let path = a.critical_path();
+        assert_tiles(&path, 0, 400);
+        assert_eq!(tiling_sum(&path), a.makespan_ns());
+        let summary = TraceAnalysis::critical_path_summary(&path);
+        assert_eq!(
+            summary,
+            vec![
+                ("KmerGen".to_string(), 300),
+                ("IndexCreate".to_string(), 100)
+            ]
+        );
+        assert_eq!(path[0].task, 0);
+        assert_eq!(path[path.len() - 1].task, 1);
     }
 
     #[test]

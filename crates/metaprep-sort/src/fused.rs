@@ -1,38 +1,63 @@
-//! Fused receive-side LocalSort: scatter-on-receive + pruned radix.
+//! Fused receive-side LocalSort: a bucketed scatter-on-receive, then an
+//! in-cache radix sort of every bucket.
 //!
-//! The unfused pipeline copied every received tuple three times per pass:
-//! concat the per-sender message buffers into one vector, range-partition
-//! that vector into a scratch buffer ([`crate::partition_by_ranges`]),
-//! then radix-sort each sub-range. [`fused_local_sort`] collapses the
-//! first two copies into one: [`scatter_from_parts`] histograms the
-//! per-sender buffers *in place* and scatters each tuple directly to its
-//! final partitioned slot, so the concat never materializes.
+//! The reference path (concat the per-sender message buffers,
+//! range-partition them with [`crate::partition_by_ranges`], radix-sort
+//! each sub-range) copies every received tuple twice before sorting, then
+//! streams each whole sub-range through DRAM once per digit: with one
+//! sub-range per task, 7 full passes over the task's tuples for 54-bit
+//! keys and 16 for 126-bit keys, each with its own counting scan.
+//! [`fused_local_sort`] is a two-level sort instead:
 //!
-//! Three further savings ride on the same pass over the data:
+//! 1. **Bucketed scatter.** [`scatter_from_parts`] reads the per-sender
+//!    buffers *in place* (the concat never materializes) and writes each
+//!    tuple straight to its final slot in one pooled buffer, grouped into
+//!    `(sub-range, MSD digit)` buckets. The MSD digit is the top
+//!    [`MSD_BITS`] bits of the sub-range's *varying window*: every key bit
+//!    above the sub-range's highest varying bit is the same in all of its
+//!    keys, so bucket order is key order.
+//! 2. **In-cache sort.** A bucket holds about `1/256` of a sub-range of
+//!    uniform keys — ~27 K tuples (~430 KB) on average on `is27_1pass`,
+//!    inside a 2 MB L2 — and is sorted by
+//!    [`lsb_radix_sort_pruned`](crate::lsb_radix_sort_pruned) against a
+//!    pooled per-thread scratch the size of the largest bucket. Every digit
+//!    pass after the scatter re-reads cache, not DRAM. The buckets are
+//!    spread over the pool threads.
 //!
-//! * the per-tuple `partition_point` binary search is replaced by a
-//!   [`BoundaryTable`] lookup — branchless, exact, and chosen by
-//!   measurement (see the type docs);
-//! * each tuple's range index is recorded in a pooled id buffer during the
-//!   histogram pass, so the scatter pass classifies nothing: it streams
-//!   tuples and ids and only performs the write (measured ~2.5x faster
-//!   than recomputing the range per tuple);
-//! * the histogram accumulates a per-sub-range *varying-bits mask*
-//!   (`OR(keys) ^ AND(keys)` — set exactly where two keys disagree), which
-//!   [`lsb_radix_sort_pruned`](crate::lsb_radix_sort_pruned) uses to skip
-//!   identity radix passes without the counting scan the unpruned sort
-//!   pays to detect them.
+//! The scatter makes three sweeps over the parts, each parallel over
+//! part-major chunks:
+//!
+//! * **classify** — each tuple's sub-range comes from a [`BoundaryTable`]
+//!   lookup (branchless, exact, and chosen by measurement; see the type
+//!   docs) and is recorded in a pooled `u16` id buffer, while OR / AND
+//!   accumulators per sub-range build its varying-bits mask
+//!   (`OR(keys) ^ AND(keys)`, set exactly where two keys disagree);
+//! * **histogram** — per-bucket counts plus one varying mask per bucket;
+//! * **scatter** — stream tuples and their recorded ids and write; the
+//!   digit is a shift and a mask, so nothing is classified twice (recording
+//!   ids measured ~2.5x faster than recomputing the range per tuple).
+//!
+//! Each bucket's varying mask drives pass pruning: the digit windows above
+//! the MSD digit hold no varying bit and prune themselves, as does any
+//! window where the bucket's keys all agree. `RadixPassesRun` and
+//! `RadixPassesPruned` therefore count per bucket.
 //!
 //! **Stability / byte-identity.** Work units are ordered part-major
 //! (sender 0's tuples first, in order, then sender 1's, …) — exactly the
-//! order the old concat visited tuples — and the per-(unit, range) write
-//! cursors preserve that order within every sub-range. The scatter is
-//! therefore stable in concat order, and the pruned radix sort is stable
-//! and skips exactly the passes the unpruned sort's counting heuristic
-//! skips, so the fused result is byte-identical to the reference
-//! concat → partition → full-radix path. LocalCC's union anchor (first
-//! tuple of each equal-k-mer group) depends on this and a proptest pins
-//! it.
+//! order the old concat visited tuples — and the per-(unit, bucket) write
+//! cursors preserve that order within every bucket. The scatter is
+//! therefore stable in concat order, the per-bucket radix sort is stable,
+//! and a stable sort's output is unique, so the fused result is
+//! byte-identical to the reference concat → partition → full-radix path.
+//! LocalCC's union anchor (first tuple of each equal-k-mer group) depends
+//! on this and proptests pin it.
+//!
+//! **Measured** with the repository benchmark (`perfledger`, 2-vCPU VM,
+//! two tasks of one thread each): the LocalSort span fell from 0.65 s to
+//! ~0.3 s on `is27_1pass` (one sub-range of ~4.5 M tuples per task, ~27 K
+//! tuples per sorted bucket) and from 0.42 s to 0.16 s on `ll63_2pass`
+//! (126-bit keys), and the partition wall time of `is27_1pass` by ~30%
+//! (median 1.16 s to 0.81 s over 10 seeds).
 
 use crate::partition::{ScatterTracker, SharedSlice};
 use crate::radix::{lsb_radix_sort_pruned, Keyed, RadixStats, SortKey};
@@ -138,33 +163,95 @@ impl<'b, K: SortKey> BoundaryTable<'b, K> {
     }
 }
 
+/// Width of the most-significant digit [`scatter_from_parts`] buckets by:
+/// `2^8` buckets per sub-range cut a sub-range of millions of tuples into
+/// buckets of thousands, small enough to radix-sort inside L2.
+pub const MSD_BITS: u32 = 8;
+const MSD_BUCKETS: usize = 1 << MSD_BITS;
+const MSD_MASK: u64 = (MSD_BUCKETS - 1) as u64;
+
+/// Per-chunk slot counts plus the OR / AND of each slot's keys. A bit
+/// varies within a slot iff it is 1 in some key (OR) but not in all (AND),
+/// so `or ^ and` is exactly the slot's varying mask, and both fold across
+/// chunks bit-parallel and branch-free.
+struct SlotStats<K> {
+    hist: Vec<usize>,
+    or: Vec<K>,
+    and: Vec<K>,
+}
+
+impl<K: SortKey> SlotStats<K> {
+    fn new(slots: usize) -> Self {
+        Self {
+            hist: vec![0; slots],
+            or: vec![K::ZERO; slots],
+            and: vec![K::ONES; slots],
+        }
+    }
+
+    #[inline(always)]
+    fn add(&mut self, slot: usize, key: K) {
+        self.hist[slot] += 1;
+        self.or[slot] = self.or[slot] | key;
+        self.and[slot] = self.and[slot] & key;
+    }
+
+    /// Fold per-chunk stats into the `slots + 1` slot offsets (exclusive
+    /// prefix sums of the totals) and every slot's varying mask (all-zero
+    /// for an empty slot).
+    fn fold(stats: &[Self], slots: usize) -> (Vec<usize>, Vec<K>) {
+        let mut offsets = vec![0usize; slots + 1];
+        let mut varying = vec![K::ZERO; slots];
+        for s in 0..slots {
+            let (mut n, mut or_acc, mut and_acc) = (0, K::ZERO, K::ONES);
+            for st in stats.iter().filter(|st| st.hist[s] > 0) {
+                n += st.hist[s];
+                or_acc = or_acc | st.or[s];
+                and_acc = and_acc & st.and[s];
+            }
+            offsets[s + 1] = offsets[s] + n;
+            if n > 0 {
+                varying[s] = or_acc ^ and_acc;
+            }
+        }
+        (offsets, varying)
+    }
+}
+
 /// What [`scatter_from_parts`] learned while scattering.
 pub struct ScatterResult<K> {
     /// The `ranges + 1` sub-range offsets within the destination buffer —
     /// the same offsets LocalCC's per-thread walk needs, so the pipeline
     /// skips its post-sort binary-search derivation.
     pub offsets: Vec<usize>,
-    /// Per-range varying-bits mask: bit `i` is set iff two keys in the
-    /// range differ in bit `i`. Feed to
+    /// The `ranges * 2^MSD_BITS + 1` bucket offsets, range-major: bucket
+    /// `r * 2^MSD_BITS + d` holds the tuples of sub-range `r` whose MSD
+    /// digit is `d`, so `buckets[r * 2^MSD_BITS] == offsets[r]`.
+    pub buckets: Vec<usize>,
+    /// Per-bucket varying-bits mask: bit `i` is set iff two keys in the
+    /// bucket differ in bit `i`. Feed to
     /// [`lsb_radix_sort_pruned`](crate::lsb_radix_sort_pruned).
     pub varying: Vec<K>,
 }
 
 /// Scatter the per-sender message buffers straight into `dst`, grouped by
-/// key range — the fused replacement for concat + [`crate::partition_by_ranges`].
+/// key range and, within each range, by its [`MSD_BITS`]-bit most
+/// significant digit — the fused replacement for concat +
+/// [`crate::partition_by_ranges`], plus the first level of the sort.
 ///
+/// A range's MSD digit is the top [`MSD_BITS`] bits of its varying window:
+/// key bits above the range's highest varying bit are equal in all of its
+/// keys, so the range's buckets in digit order are in key order.
 /// `dst.len()` must equal the total part length. Tuple order within each
-/// range is part-major input order (sender 0 first), i.e. exactly the
-/// order the concat-then-partition path produces. Returns the sub-range
-/// offsets and per-range varying-bits masks accumulated during the
-/// histogram pass.
+/// bucket is part-major input order (sender 0 first) — the order the
+/// concat-then-partition path visits tuples.
 ///
-/// `ids` is pooled per-tuple scratch (one `u16` range index each,
-/// recorded by the histogram pass and consumed by the scatter pass so the
-/// range classification runs once per tuple, not twice); pass the same
-/// `Vec` every call to recycle its allocation, or an empty one for a
-/// one-off. At most `u16::MAX + 1` ranges are supported — far above the
-/// per-task thread counts that set the range count in the pipeline.
+/// `ids` is pooled per-tuple scratch (one `u16` range index each, recorded
+/// by the classify sweep and read by the two later sweeps, so the range
+/// classification runs once per tuple); pass the same `Vec` every call to
+/// recycle its allocation, or an empty one for a one-off. At most
+/// `u16::MAX + 1` ranges are supported — far above the per-task thread
+/// counts that set the range count in the pipeline.
 pub fn scatter_from_parts<T: Keyed>(
     parts: &[Vec<T>],
     dst: &mut [T],
@@ -192,85 +279,79 @@ pub fn scatter_from_parts<T: Keyed>(
     let chunks: Vec<&[T]> = parts.iter().flat_map(|p| p.chunks(chunk_size)).collect();
 
     // Carve the pooled id buffer into per-chunk windows (same flat order
-    // as `chunks`). Every id slot is written by the histogram pass before
-    // the scatter pass reads it, so recycled contents never leak through.
-    if ids.len() < total {
-        ids.resize(total, 0);
-    }
+    // as `chunks`). The classify sweep writes every id slot before the
+    // later sweeps read it, so recycled contents never leak through.
+    resize_pooled(ids, total, 0);
     let mut id_windows: Vec<&mut [u16]> = Vec::with_capacity(chunks.len());
-    let mut rem_ids: &mut [u16] = &mut ids[..total];
+    let mut rem_ids: &mut [u16] = ids;
     for chunk in &chunks {
         let (w, rest) = rem_ids.split_at_mut(chunk.len());
         id_windows.push(w);
         rem_ids = rest;
     }
 
-    // Histogram pass: per-chunk range counts, each tuple's range id, and
-    // the varying-bits accumulators — OR and AND of the range's keys; a
-    // bit varies iff it is 1 in some key (OR) but not in all (AND), so
-    // `or ^ and` is exactly the varying mask, and both fold across chunks
-    // bit-parallel and branch-free.
-    type ChunkStat<K> = (Vec<usize>, Vec<K>, Vec<K>);
-    let stats: Vec<ChunkStat<T::Key>> = chunks
+    // Sweep 1, classify: each tuple's range id, and each range's varying
+    // window, whose top MSD_BITS bits become the range's bucket digit.
+    let range_stats: Vec<SlotStats<T::Key>> = chunks
         .par_iter()
         .zip(id_windows.into_par_iter())
         .map(|(chunk, id_window)| {
-            let mut hist = vec![0usize; ranges];
-            let mut or_acc = vec![T::Key::ZERO; ranges];
-            let mut and_acc = vec![T::Key::ONES; ranges];
+            let mut st = SlotStats::new(ranges);
             for (t, id) in chunk.iter().zip(id_window.iter_mut()) {
                 let k = t.key();
                 let r = table.range_of(k);
                 *id = r as u16;
-                hist[r] += 1;
-                or_acc[r] = or_acc[r] | k;
-                and_acc[r] = and_acc[r] & k;
+                st.add(r, k);
             }
-            (hist, or_acc, and_acc)
+            st
         })
         .collect();
+    let (offsets, range_varying) = SlotStats::fold(&range_stats, ranges);
+    let shifts: Vec<u32> = range_varying
+        .iter()
+        .map(|v| v.significant_bits().saturating_sub(MSD_BITS))
+        .collect();
+    let bucket_of = |key: T::Key, id: u16| {
+        let r = usize::from(id);
+        r * MSD_BUCKETS + key.digit(shifts[r], MSD_MASK)
+    };
 
-    // Range totals -> offsets; fold the per-chunk OR/AND accumulators.
-    let mut offsets = vec![0usize; ranges + 1];
-    for r in 0..ranges {
-        let t: usize = stats.iter().map(|(h, _, _)| h[r]).sum();
-        offsets[r + 1] = offsets[r] + t;
-    }
-    let mut varying = vec![T::Key::ZERO; ranges];
-    for (r, v) in varying.iter_mut().enumerate() {
-        if offsets[r + 1] == offsets[r] {
-            continue; // empty range: keep the mask all-zero
-        }
-        let mut or_acc = T::Key::ZERO;
-        let mut and_acc = T::Key::ONES;
-        for (h, o, a) in &stats {
-            if h[r] > 0 {
-                or_acc = or_acc | o[r];
-                and_acc = and_acc & a[r];
-            }
-        }
-        *v = or_acc ^ and_acc;
-    }
-
-    // Per-(chunk, range) write cursors, chunk-major prefix sums.
-    let mut cursors: Vec<Vec<usize>> = Vec::with_capacity(chunks.len());
-    let mut running = offsets[..ranges].to_vec();
-    for (h, _, _) in &stats {
-        cursors.push(running.clone());
-        for r in 0..ranges {
-            running[r] += h[r];
-        }
-    }
-
-    // Scatter pass: stream tuples and their recorded range ids — no
-    // classification work left, just the permuting writes.
     let mut read_windows: Vec<&[u16]> = Vec::with_capacity(chunks.len());
-    let mut rem_ids: &[u16] = &ids[..total];
+    let mut rem_ids: &[u16] = ids;
     for chunk in &chunks {
         let (w, rest) = rem_ids.split_at(chunk.len());
         read_windows.push(w);
         rem_ids = rest;
     }
+
+    // Sweep 2, histogram: per-chunk bucket counts and varying masks.
+    let slots = ranges * MSD_BUCKETS;
+    let bucket_stats: Vec<SlotStats<T::Key>> = chunks
+        .par_iter()
+        .zip(read_windows.par_iter())
+        .map(|(chunk, id_window)| {
+            let mut st = SlotStats::new(slots);
+            for (t, &id) in chunk.iter().zip(id_window.iter()) {
+                let k = t.key();
+                st.add(bucket_of(k, id), k);
+            }
+            st
+        })
+        .collect();
+    let (buckets, varying) = SlotStats::fold(&bucket_stats, slots);
+
+    // Per-(chunk, bucket) write cursors, chunk-major prefix sums.
+    let mut cursors: Vec<Vec<usize>> = Vec::with_capacity(chunks.len());
+    let mut running = buckets[..slots].to_vec();
+    for st in &bucket_stats {
+        cursors.push(running.clone());
+        for (c, h) in running.iter_mut().zip(&st.hist) {
+            *c += h;
+        }
+    }
+
+    // Sweep 3, scatter: stream tuples and their recorded range ids; the
+    // digit is a shift and a mask, so only the permuting writes are left.
     let shared = SharedSlice::new(dst, tracker);
     chunks
         .par_iter()
@@ -278,55 +359,64 @@ pub fn scatter_from_parts<T: Keyed>(
         .zip(cursors.into_par_iter())
         .for_each(|((chunk, id_window), mut cur)| {
             for (t, &id) in chunk.iter().zip(id_window.iter()) {
-                let r = usize::from(id);
+                let b = bucket_of(t.key(), id);
                 // SAFETY: cursor windows are disjoint by construction.
-                unsafe { shared.write(cur[r], *t) };
-                cur[r] += 1;
+                unsafe { shared.write(cur[b], *t) };
+                cur[b] += 1;
             }
         });
 
-    ScatterResult { offsets, varying }
+    ScatterResult {
+        offsets,
+        buckets,
+        varying,
+    }
 }
 
-/// Pooled per-task buffers for the fused LocalSort: the partitioned
-/// destination, the radix scratch, the per-tuple range-id buffer, and the
-/// debug-build scatter tracker are allocated once and recycled across
-/// passes (the unfused path re-allocated and zero-initialized both big
-/// vectors every pass — and on a cold pool, first-touch page faults cost
-/// as much as the scatter itself, so recycling is where the fused path's
-/// steady-state win comes from).
+/// Set `v.len()` to `n` for a pooled buffer whose contents are dead. When
+/// the allocation must grow, the old one is freed first and the new one
+/// holds exactly `n`: `Vec::resize` alone would round the capacity up
+/// (amortized doubling wastes up to a pass of bytes) and copy the dead
+/// contents while the old and new allocations coexist.
+fn resize_pooled<X: Clone>(v: &mut Vec<X>, n: usize, fill: X) {
+    if n > v.capacity() {
+        *v = Vec::new();
+        v.reserve_exact(n);
+    }
+    v.resize(n, fill);
+}
+
+/// One pool thread's in-cache radix scratch: tuples as long as the largest
+/// bucket the thread has sorted, and the digit counts.
+#[derive(Default)]
+struct BucketScratch<T> {
+    tuples: Vec<T>,
+    counts: Vec<usize>,
+}
+
+/// Pooled per-task buffers for the fused LocalSort: the bucketed
+/// destination, the per-tuple range-id buffer, one in-cache radix scratch
+/// per pool thread, and the debug-build scatter tracker are allocated once
+/// and recycled across passes (on a cold pool, first-touch page faults cost
+/// as much as the scatter itself). Each grows exactly to the largest pass
+/// it has seen.
 ///
 /// Reuse without re-zeroing is sound because the scatter writes every
-/// destination slot before anything reads it, each radix pass writes
-/// every scratch slot it later reads, and the histogram pass writes every
-/// range id the scatter reads.
+/// destination slot before anything reads it, each radix pass writes every
+/// scratch slot and count it later reads, and the classify sweep writes
+/// every range id the later sweeps read.
 #[derive(Default)]
 pub struct PassBuffers<T> {
     dst: Vec<T>,
-    scratch: Vec<T>,
     ids: Vec<u16>,
+    scratch: Vec<BucketScratch<T>>,
     tracker: ScatterTracker,
 }
 
 impl<T: Keyed + Default> PassBuffers<T> {
-    /// Empty pool; buffers grow lazily to the largest pass seen.
+    /// Empty pool; buffers grow, exactly, to the largest pass seen.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Pre-size both buffers for `n` tuples (e.g. from the `FASTQPart`
-    /// receive-count precomputation) so the first pass doesn't grow them
-    /// mid-flight.
-    pub fn reserve(&mut self, n: usize) {
-        if self.dst.len() < n {
-            self.dst.resize(n, T::default());
-        }
-        if self.scratch.len() < n {
-            self.scratch.resize(n, T::default());
-        }
-        if self.ids.len() < n {
-            self.ids.resize(n, 0);
-        }
     }
 
     /// The sorted tuples after [`fused_local_sort`] (valid until the next
@@ -340,14 +430,16 @@ impl<T: Keyed + Default> PassBuffers<T> {
 pub struct FusedSortResult {
     /// Sub-range offsets within [`PassBuffers::sorted`].
     pub offsets: Vec<usize>,
-    /// Radix passes run vs pruned, summed over sub-ranges.
+    /// Radix passes run vs pruned, summed over the `(sub-range, MSD digit)`
+    /// buckets of two or more tuples.
     pub stats: RadixStats,
 }
 
 /// The fused LocalSort: scatter the per-sender buffers straight into the
-/// pooled destination, then sort each sub-range with the bit-pruned radix
-/// sort. Consumes `parts` so the received message buffers are freed before
-/// the radix scratch peaks.
+/// pooled destination, bucketed by `(sub-range, MSD digit)`, then sort
+/// every bucket in cache with the bit-pruned radix sort, the buckets spread
+/// over the pool threads. Consumes `parts` so the received message buffers
+/// are freed before the radix phase.
 ///
 /// The sorted tuples land in `bufs.sorted()[..total]`; the result is
 /// byte-identical to concat → [`crate::partition_by_ranges`] → per-range
@@ -360,7 +452,7 @@ pub fn fused_local_sort<T: Keyed + Default>(
     key_bits: u32,
 ) -> FusedSortResult {
     let total: usize = parts.iter().map(Vec::len).sum();
-    bufs.dst.resize(total, T::default());
+    resize_pooled(&mut bufs.dst, total, T::default());
     let sc = scatter_from_parts(
         &parts,
         &mut bufs.dst,
@@ -369,32 +461,58 @@ pub fn fused_local_sort<T: Keyed + Default>(
         &mut bufs.tracker,
         &mut bufs.ids,
     );
-    // The received buffers are dead the moment the scatter lands; free
-    // them before the scratch buffer (re)grows so at most two tuple
-    // copies are ever resident.
+    // The received buffers are dead the moment the scatter lands.
     drop(parts);
-    bufs.scratch.resize(total, T::default());
 
-    // Disjoint (range, scratch-window, varying-mask) triples for rayon.
-    let mut rem_d: &mut [T] = &mut bufs.dst;
-    let mut rem_s: &mut [T] = &mut bufs.scratch;
-    let mut work = Vec::with_capacity(sc.offsets.len() - 1);
-    for (r, w) in sc.offsets.windows(2).enumerate() {
-        let len = w[1] - w[0];
-        let (d, rd) = rem_d.split_at_mut(len);
-        let (s, rs) = rem_s.split_at_mut(len);
-        rem_d = rd;
-        rem_s = rs;
-        work.push((d, s, sc.varying[r]));
+    // A bucket of equal keys is already sorted: every digit window prunes,
+    // so count it as pruned without claiming scratch for it.
+    let windows = u64::from(key_bits.div_ceil(bits));
+    let mut stats = RadixStats::default();
+    let mut work: Vec<(&mut [T], T::Key)> = Vec::new();
+    let mut rem: &mut [T] = &mut bufs.dst;
+    for (w, &v) in sc.buckets.windows(2).zip(&sc.varying) {
+        let (bucket, rest) = rem.split_at_mut(w[1] - w[0]);
+        rem = rest;
+        if v != T::Key::ZERO {
+            work.push((bucket, v));
+        } else if bucket.len() > 1 {
+            stats.passes_pruned += windows;
+        }
     }
-    let stats = work
+
+    // One contiguous run of buckets per pool thread, of about equal tuple
+    // mass, each sorted with that thread's pooled scratch.
+    let threads = rayon::current_num_threads().max(1);
+    let unsorted: usize = work.iter().map(|(b, _)| b.len()).sum();
+    let per_run = unsorted.div_ceil(threads).max(1);
+    let mut runs: Vec<Vec<(&mut [T], T::Key)>> = (0..threads).map(|_| Vec::new()).collect();
+    let mut mass = 0;
+    for (bucket, v) in work {
+        let run = (mass / per_run).min(threads - 1);
+        mass += bucket.len();
+        runs[run].push((bucket, v));
+    }
+    bufs.scratch.resize_with(threads, BucketScratch::default);
+    let jobs: Vec<_> = runs.into_iter().zip(bufs.scratch.iter_mut()).collect();
+    let sorted = jobs
         .into_par_iter()
-        .map(|(d, s, v)| lsb_radix_sort_pruned(d, s, bits, key_bits, v))
+        .map(|(run, scratch)| {
+            let need = run.iter().map(|(b, _)| b.len()).max().unwrap_or(0);
+            if need > scratch.tuples.len() {
+                resize_pooled(&mut scratch.tuples, need, T::default());
+            }
+            run.into_iter()
+                .map(|(bucket, v)| {
+                    let s = &mut scratch.tuples[..bucket.len()];
+                    lsb_radix_sort_pruned(bucket, s, &mut scratch.counts, bits, key_bits, v)
+                })
+                .fold(RadixStats::default(), RadixStats::merged)
+        })
         .reduce(RadixStats::default, RadixStats::merged);
 
     FusedSortResult {
         offsets: sc.offsets,
-        stats,
+        stats: stats.merged(sorted),
     }
 }
 
@@ -403,7 +521,7 @@ mod tests {
     use super::*;
     use crate::partition::partition_by_ranges;
     use crate::radix::lsb_radix_sort;
-    use metaprep_kmer::KmerReadTuple;
+    use metaprep_kmer::{KmerReadTuple, KmerReadTuple128};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -429,6 +547,8 @@ mod tests {
         (offsets, dst)
     }
 
+    /// The fused path on a fresh pool. Returns the result and the sorted
+    /// tuples.
     fn fused_path<T: Keyed + Default>(
         parts: &[Vec<T>],
         boundaries: &[T::Key],
@@ -437,8 +557,36 @@ mod tests {
     ) -> (FusedSortResult, Vec<T>) {
         let mut bufs = PassBuffers::new();
         let res = fused_local_sort(parts.to_vec(), &mut bufs, boundaries, bits, key_bits);
-        let sorted = bufs.sorted().to_vec();
-        (res, sorted)
+        (res, bufs.sorted().to_vec())
+    }
+
+    /// Split `tuples` into parts at the (sorted, clamped) `cuts`, then
+    /// check the fused path against the reference: same offsets, same
+    /// bytes, and every sorted bucket accounts for all its digit windows.
+    fn check_against_reference<T: Keyed + Default + PartialEq + std::fmt::Debug>(
+        tuples: &[T],
+        cuts: Vec<usize>,
+        boundaries: &[T::Key],
+        bits: u32,
+        key_bits: u32,
+    ) {
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(tuples.len())).collect();
+        cuts.sort_unstable();
+        let mut parts: Vec<Vec<T>> = Vec::new();
+        let mut prev = 0;
+        for c in cuts {
+            parts.push(tuples[prev..c].to_vec());
+            prev = c;
+        }
+        parts.push(tuples[prev..].to_vec());
+        let (ref_offs, ref_sorted) = reference_path(&parts, boundaries, bits, key_bits);
+        let (res, sorted) = fused_path(&parts, boundaries, bits, key_bits);
+        prop_assert_eq!(res.offsets, ref_offs);
+        prop_assert_eq!(sorted, ref_sorted);
+        prop_assert_eq!(
+            (res.stats.passes_run + res.stats.passes_pruned) % u64::from(key_bits.div_ceil(bits)),
+            0
+        );
     }
 
     #[test]
@@ -480,40 +628,53 @@ mod tests {
     }
 
     #[test]
-    fn scatter_varying_masks_are_exact() {
-        let parts: Vec<Vec<u64>> = vec![vec![0b1010, 0b1000, 30], vec![0b1110, 40, 50]];
-        let boundaries = [16u64];
-        let mut dst = vec![0u64; 6];
+    fn scatter_buckets_by_range_msd_digit() {
+        let parts: Vec<Vec<u64>> = vec![
+            vec![0x103, 0x003, 40_000],
+            vec![0x002, 0x100, 0x001, 40_001],
+        ];
+        let boundaries = [0x1000u64];
+        let mut dst = vec![0u64; 7];
         let mut tracker = ScatterTracker::new();
         let mut ids = Vec::new();
         let sc = scatter_from_parts(&parts, &mut dst, &boundaries, 64, &mut tracker, &mut ids);
-        assert_eq!(sc.offsets, vec![0, 3, 6]);
-        // Range 0: {1010, 1000, 1110} -> bits 1 and 2 vary.
-        assert_eq!(sc.varying[0], 0b0110);
-        // Range 1: {30, 40, 50} = {11110, 101000, 110010}.
-        assert_eq!(sc.varying[1], (30 ^ 40) | (30 ^ 50));
-        // Part-major stable order within ranges.
-        assert_eq!(dst, vec![0b1010, 0b1000, 0b1110, 30, 40, 50]);
+        assert_eq!(sc.offsets, vec![0, 5, 7]);
+        assert_eq!(sc.buckets.len(), 2 * MSD_BUCKETS + 1);
+        assert_eq!(sc.buckets[MSD_BUCKETS], 5);
+        // Range 0 varies in bits 0..=8, so its digit is bits 1..=8:
+        // 0x001 -> 0, {0x003, 0x002} -> 1, 0x100 -> 0x80, 0x103 -> 0x81.
+        // Within bucket 1 the order is part-major (0x003 came first).
+        assert_eq!(&sc.buckets[..3], &[0, 1, 3]);
+        assert_eq!(sc.varying[1], 0b1);
+        assert_eq!(sc.varying[0x81], 0);
+        // Range 1 = {40_000, 40_001} varies in bit 0 only: digit = low byte.
+        assert_eq!(sc.varying[MSD_BUCKETS + 0x40], 0);
+        assert_eq!(dst, vec![0x001, 0x003, 0x002, 0x100, 0x103, 40_000, 40_001]);
     }
 
     #[test]
     fn fused_sorts_and_prunes_narrow_ranges() {
-        // Keys clustered in a 2^12 window: of ceil(54/8) = 7 passes, only
-        // the low two digit windows vary, so 5 of 7 passes prune per range.
-        let mut rng = SmallRng::seed_from_u64(5);
+        // Four ranges of 1024 keys each (bits 0..=9 vary), every key sent
+        // once by each of 4 senders in a scrambled order. The MSD digit is
+        // bits 2..=9, so every range splits into 256 buckets of 16 tuples
+        // varying only in bits 0..=1: of ceil(54/8) = 7 digit windows, one
+        // runs and six prune — counted per bucket.
         let base = 0x2ABC_DEF0_0000u64;
-        let parts: Vec<Vec<KmerReadTuple>> = (0..4)
+        let parts: Vec<Vec<KmerReadTuple>> = (0..4u32)
             .map(|p| {
-                (0..5_000)
-                    .map(|i| KmerReadTuple::new(base + (rng.gen::<u64>() & 0xFFF), p * 5_000 + i))
+                (0..4096u32)
+                    .map(|j| {
+                        let key = base + ((u64::from(j) * 7919 + u64::from(p)) & 0xFFF);
+                        KmerReadTuple::new(key, p * 4096 + j)
+                    })
                     .collect()
             })
             .collect();
         let boundaries = [base + 0x400, base + 0x800, base + 0xC00];
         let (res, sorted) = fused_path(&parts, &boundaries, 8, 54);
         assert!(crate::is_sorted_by_key(&sorted));
-        assert_eq!(res.stats.passes_run, 4 * 2);
-        assert_eq!(res.stats.passes_pruned, 4 * 5);
+        assert_eq!(res.stats.passes_run, 4 * 256);
+        assert_eq!(res.stats.passes_pruned, 4 * 256 * 6);
         let (ref_offs, ref_sorted) = reference_path(&parts, &boundaries, 8, 54);
         assert_eq!(res.offsets, ref_offs);
         assert_eq!(sorted, ref_sorted);
@@ -532,6 +693,29 @@ mod tests {
             fused_local_sort(parts, &mut bufs, &boundaries, 8, 64);
             assert_eq!(bufs.sorted(), &want[..], "round {round}");
         }
+    }
+
+    #[test]
+    fn pass_buffers_grow_exactly_to_the_largest_pass() {
+        // Passes a little larger each time: amortized growth would double
+        // the capacity on the second pass; exact growth stops at the
+        // largest pass.
+        let pass = |n: u64| {
+            vec![(0..n)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect::<Vec<u64>>()]
+        };
+        let sizes = [1000u64, 1100, 1210, 1331];
+        let mut bufs = PassBuffers::new();
+        for &n in &sizes {
+            fused_local_sort(pass(n), &mut bufs, &[], 8, 64);
+        }
+        assert_eq!(bufs.dst.capacity(), 1331);
+        assert_eq!(bufs.ids.capacity(), 1331);
+        // A smaller pass after the largest reuses the pool as it is.
+        fused_local_sort(pass(500), &mut bufs, &[], 8, 64);
+        assert_eq!(bufs.sorted().len(), 500);
+        assert_eq!(bufs.dst.capacity(), 1331);
     }
 
     #[test]
@@ -607,6 +791,86 @@ mod tests {
                 (res.stats.passes_run + res.stats.passes_pruned) % u64::from(54u32.div_ceil(bits)),
                 0
             );
+        }
+
+        /// 126-bit keys in `KmerReadTuple128` — the k = 63 path.
+        #[test]
+        fn prop_fused_matches_reference_kmer128(
+            halves in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..1200),
+            cuts in proptest::collection::vec(0usize..1200, 0..5),
+            bhalves in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..5),
+            narrow in any::<bool>(),
+            bits_idx in 0usize..3,
+        ) {
+            let mask = (1u128 << 126) - 1;
+            // Optionally confine keys to a narrow window, as a deep plan
+            // range does.
+            let window = if narrow { (1u128 << 20) - 1 } else { mask };
+            let key = |(hi, lo): (u64, u64)| ((u128::from(hi) << 64) | u128::from(lo)) & window;
+            let tuples: Vec<KmerReadTuple128> = halves
+                .iter()
+                .enumerate()
+                .map(|(i, &h)| KmerReadTuple128::new(key(h), i as u32))
+                .collect();
+            let mut bvals: Vec<u128> = bhalves.into_iter().map(key).collect();
+            bvals.sort_unstable();
+            check_against_reference(&tuples, cuts, &bvals, [8u32, 11, 16][bits_idx], 126);
+        }
+
+        /// Full 64-bit keys whose top bit varies.
+        #[test]
+        fn prop_fused_matches_reference_full_u64(
+            keys in proptest::collection::vec(any::<u64>(), 1..1200),
+            cuts in proptest::collection::vec(0usize..1200, 0..5),
+            mut bvals in proptest::collection::vec(any::<u64>(), 0..5),
+            bits_idx in 0usize..3,
+        ) {
+            let tuples: Vec<KmerReadTuple> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| KmerReadTuple::new(k ^ ((i as u64 & 1) << 63), i as u32))
+                .collect();
+            bvals.sort_unstable();
+            check_against_reference(&tuples, cuts, &bvals, [8u32, 11, 16][bits_idx], 64);
+        }
+
+        /// No boundaries: one sub-range per task, the shape the pipeline
+        /// runs with one thread per task.
+        #[test]
+        fn prop_fused_matches_reference_single_range(
+            keys in proptest::collection::vec(0u64..(1 << 54), 0..2000),
+            cuts in proptest::collection::vec(0usize..2000, 0..5),
+            bits_idx in 0usize..3,
+        ) {
+            let tuples: Vec<KmerReadTuple> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| KmerReadTuple::new(k, i as u32))
+                .collect();
+            check_against_reference(&tuples, cuts, &[], [8u32, 11, 16][bits_idx], 54);
+        }
+
+        /// Duplicate-heavy inputs — keys drawn from a handful of values —
+        /// and single-key inputs, where whole buckets hold equal keys.
+        #[test]
+        fn prop_fused_matches_reference_duplicate_heavy(
+            pool in proptest::collection::vec(0u64..(1 << 54), 1..5),
+            picks in proptest::collection::vec(0usize..5, 0..1500),
+            cuts in proptest::collection::vec(0usize..1500, 0..5),
+            single in any::<bool>(),
+            split in any::<bool>(),
+            bits_idx in 0usize..3,
+        ) {
+            let tuples: Vec<KmerReadTuple> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| {
+                    let k = if single { pool[0] } else { pool[p % pool.len()] };
+                    KmerReadTuple::new(k, i as u32)
+                })
+                .collect();
+            let boundaries: Vec<u64> = if split { vec![pool[pool.len() / 2]] } else { Vec::new() };
+            check_against_reference(&tuples, cuts, &boundaries, [8u32, 11, 16][bits_idx], 54);
         }
     }
 }

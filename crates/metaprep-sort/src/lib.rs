@@ -18,10 +18,11 @@
 //!
 //! The pipeline itself uses the **fused receive-side path**
 //! ([`fused::fused_local_sort`]): the per-sender all-to-all buffers are
-//! scattered straight into the final partitioned buffer (no concat copy),
-//! and each sub-range is sorted with [`radix::lsb_radix_sort_pruned`],
-//! which skips identity passes via a varying-bits mask accumulated during
-//! the scatter — byte-identical output to the two-stage path above.
+//! scattered straight into `(sub-range, most-significant digit)` buckets
+//! of one buffer (no concat copy), and each cache-sized bucket is sorted
+//! with [`radix::lsb_radix_sort_pruned`], which skips identity passes via
+//! a varying-bits mask accumulated during the scatter — byte-identical
+//! output to the two-stage path above.
 
 pub mod fused;
 pub mod parallel;

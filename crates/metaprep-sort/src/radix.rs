@@ -4,10 +4,11 @@ use metaprep_kmer::{KmerReadTuple, KmerReadTuple128};
 
 /// Unsigned key types the radix sort can digest.
 ///
-/// The bitwise bounds let the fused scatter accumulate a per-sub-range
-/// *varying-bits mask* (`OR(keys) ^ AND(keys)`: a bit is set iff it is 1
-/// in some key and 0 in another) that the pruned radix sort consults to
-/// skip identity passes without a counting scan.
+/// The bitwise bounds let the fused scatter accumulate per-sub-range and
+/// per-bucket *varying-bits masks* (`OR(keys) ^ AND(keys)`: a bit is set
+/// iff it is 1 in some key and 0 in another): a sub-range's top varying
+/// bits pick its bucket digit, and the pruned radix sort consults a
+/// bucket's mask to skip identity passes without a counting scan.
 pub trait SortKey:
     Copy
     + Ord
@@ -26,6 +27,8 @@ pub trait SortKey:
     const ONES: Self;
     /// Extract `(self >> shift) & mask` as a bucket index.
     fn digit(self, shift: u32, mask: u64) -> usize;
+    /// Bits up to and including the highest set bit (0 for zero).
+    fn significant_bits(self) -> u32;
 }
 
 impl SortKey for u32 {
@@ -35,6 +38,10 @@ impl SortKey for u32 {
     #[inline(always)]
     fn digit(self, shift: u32, mask: u64) -> usize {
         ((self as u64 >> shift) & mask) as usize
+    }
+    #[inline(always)]
+    fn significant_bits(self) -> u32 {
+        Self::BITS - self.leading_zeros()
     }
 }
 
@@ -46,6 +53,10 @@ impl SortKey for u64 {
     fn digit(self, shift: u32, mask: u64) -> usize {
         ((self >> shift) & mask) as usize
     }
+    #[inline(always)]
+    fn significant_bits(self) -> u32 {
+        Self::BITS - self.leading_zeros()
+    }
 }
 
 impl SortKey for u128 {
@@ -55,6 +66,10 @@ impl SortKey for u128 {
     #[inline(always)]
     fn digit(self, shift: u32, mask: u64) -> usize {
         ((self >> shift) as u64 & mask) as usize
+    }
+    #[inline(always)]
+    fn significant_bits(self) -> u32 {
+        Self::BITS - self.leading_zeros()
     }
 }
 
@@ -198,7 +213,7 @@ pub struct RadixStats {
 }
 
 impl RadixStats {
-    /// Combine two per-sub-range stats (e.g. across a parallel reduce).
+    /// Combine two per-bucket stats (e.g. across a parallel reduce).
     pub fn merged(self, other: RadixStats) -> RadixStats {
         RadixStats {
             passes_run: self.passes_run + other.passes_run,
@@ -211,13 +226,17 @@ impl RadixStats {
 /// *varying-bits mask* instead of a per-pass counting scan.
 ///
 /// `varying` must have a bit set wherever any two keys in `data` differ —
-/// the fused scatter accumulates it as `OR(key ^ reference)` while it
-/// histograms, so it arrives here for free. A digit window with no varying
-/// bits means every key shares that digit, the pass permutation would be
-/// the identity, and the pass is skipped *without* the full counting scan
-/// [`lsb_radix_sort`] pays to discover the same thing. Sub-ranges span
-/// narrow key windows in deep `S·P·T` configurations, so this typically
-/// cuts 7 passes (54-bit k-mer keys, 8-bit digits) down to 2–3.
+/// the fused scatter accumulates it per bucket as `OR(keys) ^ AND(keys)`
+/// while it histograms, so it arrives here for free. A digit window with
+/// no varying bits means every key shares that digit, the pass permutation
+/// would be the identity, and the pass is skipped *without* the full
+/// counting scan [`lsb_radix_sort`] pays to discover the same thing.
+///
+/// In the fused LocalSort `data` is one `(sub-range, MSD digit)` bucket,
+/// so the windows at and above the MSD digit always prune: 54-bit keys
+/// uniform over a sub-range run 6 of 7 passes, each over a bucket that
+/// sits in L2. Narrower buckets prune more — a bucket whose keys differ
+/// only in their low byte runs one pass.
 ///
 /// Skipped passes are exactly the passes the unpruned sort's counting
 /// heuristic skips (a constant digit ⇔ one occupied bucket), and a stable
@@ -225,9 +244,15 @@ impl RadixStats {
 /// [`lsb_radix_sort`] — including the ping-pong parity, hence the same
 /// number of copies. Overstating `varying` (extra bits set) only costs an
 /// identity pass; understating it breaks sorting, so don't.
+///
+/// `counts` is pooled digit-count scratch, resized to `2^bits` entries:
+/// a caller sorting many small slices (the fused LocalSort sorts one per
+/// bucket) passes the same `Vec` every call, so the counts — 512 KB at
+/// 16-bit digits — are allocated once, not once per slice.
 pub fn lsb_radix_sort_pruned<T: Keyed>(
     data: &mut [T],
     scratch: &mut [T],
+    counts: &mut Vec<usize>,
     bits: u32,
     key_bits: u32,
     varying: T::Key,
@@ -245,7 +270,7 @@ pub fn lsb_radix_sort_pruned<T: Keyed>(
     let passes = key_bits.div_ceil(bits);
 
     let mut src_is_data = true;
-    let mut counts = vec![0usize; buckets];
+    counts.resize(buckets, 0);
     for p in 0..passes {
         let shift = p * bits;
         // No varying key bit in this digit window: every element would

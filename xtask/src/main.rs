@@ -301,6 +301,25 @@ fn run_bench_smoke() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    // The one-sub-range shapes the pipeline runs with one thread per task
+    // (54-bit keys, and 126-bit keys in KmerReadTuple128): the fused path
+    // must at least match the reference (observed smoke ratios: 1.4-3.7x).
+    for key in [
+        "\"single_range_fused_over_reference\"",
+        "\"kmer128_fused_over_reference\"",
+    ] {
+        match json_number(&sjson, key) {
+            Some(ratio) if ratio >= 1.0 => {}
+            Some(ratio) => {
+                eprintln!("xtask bench-smoke: {key} only {ratio:.2}x (need >= 1.0x)");
+                return ExitCode::FAILURE;
+            }
+            None => {
+                eprintln!("xtask bench-smoke: {key} missing from {}", sort.display());
+                return ExitCode::FAILURE;
+            }
+        }
+    }
     eprintln!("xtask bench-smoke: ok ({})", sort.display());
 
     // KmerGen SIMD lanes: the experiment itself asserts the dispatched
@@ -621,6 +640,20 @@ const BENCH_METRICS: &[BenchMetric] = &[
         gate_waiver: None,
     },
     BenchMetric {
+        artifact: "BENCH_sort.json",
+        key: "\"single_range_fused_over_reference\"",
+        higher_is_better: true,
+        gate: 1.0,
+        gate_waiver: None,
+    },
+    BenchMetric {
+        artifact: "BENCH_sort.json",
+        key: "\"kmer128_fused_over_reference\"",
+        higher_is_better: true,
+        gate: 1.0,
+        gate_waiver: None,
+    },
+    BenchMetric {
         artifact: "BENCH_kmergen.json",
         key: "\"dispatched_over_scalar\"",
         higher_is_better: true,
@@ -711,7 +744,7 @@ fn run_bench_diff(flags: &[&str]) -> ExitCode {
     };
 
     eprintln!(
-        "{:<18} {:<26} {:>10} {:>10} {:>9}  {:<8} status",
+        "{:<18} {:<34} {:>10} {:>10} {:>9}  {:<8} status",
         "artifact", "metric", "baseline", "current", "delta", "gate"
     );
     let mut failed = false;
@@ -747,7 +780,7 @@ fn run_bench_diff(flags: &[&str]) -> ExitCode {
             }
         };
         eprintln!(
-            "{:<18} {:<26} {} {} {:>8}  {:<8} {status}",
+            "{:<18} {:<34} {} {} {:>8}  {:<8} {status}",
             m.artifact,
             m.key.trim_matches('"'),
             fmt_opt(base),
