@@ -7,7 +7,14 @@ use metaprep_synth::DatasetId;
 use std::time::Instant;
 
 /// Time merHist and FASTQPart construction for every dataset.
+///
+/// `FastqPart::build` histograms its chunks over the current rayon pool;
+/// a one-thread pool keeps this the paper's sequential IndexCreate.
 pub fn run(scale: f64) {
+    let sequential = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("build one-thread pool");
     let mut rows = Vec::new();
     for id in DatasetId::all() {
         let data = dataset(id, scale);
@@ -18,7 +25,7 @@ pub fn run(scale: f64) {
         let t_mh = t0.elapsed();
 
         let t0 = Instant::now();
-        let fp = FastqPart::build(&data.reads, chunks, 27, 8);
+        let fp = sequential.install(|| FastqPart::build(&data.reads, chunks, 27, 8));
         let t_fp = t0.elapsed();
 
         rows.push(vec![

@@ -276,8 +276,10 @@ fn cmd_index(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         let reads = load_reads(args)?;
         let clock = rec.clock();
         let t0 = clock.now_ns();
-        let mh = MerHist::build(&reads, k, m);
+        // One parallel scan builds the chunk table; merHist is derived
+        // from its chunk histograms, as in the pipeline.
         let fp = FastqPart::build(&reads, chunks, k, m);
+        let mh = MerHist::from_fastqpart(&fp)?;
         let t1 = clock.now_ns();
         record_index_span(&rec, t0, t1);
         (mh, fp, std::time::Duration::from_nanos(t1 - t0))

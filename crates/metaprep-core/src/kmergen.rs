@@ -103,10 +103,16 @@ pub struct KmerGenOutput<T> {
 /// * `read_label` — identity for plain LocalCC; the task's current
 ///   `Find(read)` for LocalCC-Opt passes (paper §3.5.1).
 ///
-/// Per-destination buffers are preallocated to their *exact* sizes computed
-/// from the `FASTQPart` chunk histograms (the paper's offset precomputation,
-/// §3.2.2) — an assertion checks the histogram arithmetic agrees with the
-/// enumeration.
+/// Each `outgoing[q]` is allocated once, at the total the `FASTQPart`
+/// chunk histograms give for destination `q`, and carved into one slot
+/// per owned chunk at the prefix sum of `chunk_count_in_bins` (the paper's
+/// offset precomputation, §3.2.2). Every chunk writes its tuples in place
+/// into its own slots, so no tuple is copied between enumeration and the
+/// send. A release-mode check holds `written + dropped == slot size` for
+/// every (chunk, destination). With a presolve filter the slots are upper
+/// bounds; the gaps drops leave are closed afterwards by stable
+/// `copy_within`, so the output order — chunk order, then enumeration
+/// order — is the same either way.
 #[allow(clippy::too_many_arguments)]
 pub fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
     pool: &rayon::ThreadPool,
@@ -128,12 +134,43 @@ pub fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
     debug_assert_eq!(space.k(), k);
     let io_nanos = AtomicU64::new(0);
     let gen_nanos = AtomicU64::new(0);
-    let dropped = AtomicU64::new(0);
 
-    let per_chunk: Vec<Vec<Vec<K::Tuple>>> = pool.install(|| {
+    // slot_lens[i][q]: tuples chunk `my_chunks[i]` generates for task `q`.
+    let slot_lens: Vec<Vec<usize>> = my_chunks
+        .iter()
+        .map(|&c| {
+            (0..tasks)
+                .map(|q| {
+                    let (blo, bhi) = plan.task_bin_range(pass, q);
+                    fastqpart.chunk_count_in_bins(c, blo, bhi) as usize
+                })
+                .collect()
+        })
+        .collect();
+    let mut outgoing: Vec<Vec<K::Tuple>> = (0..tasks)
+        .map(|q| vec![K::Tuple::default(); slot_lens.iter().map(|l| l[q]).sum()])
+        .collect();
+    // Carve every destination buffer into per-chunk slots, transposed to
+    // one row of `tasks` slots per chunk.
+    let mut slots: Vec<Vec<&mut [K::Tuple]>> = my_chunks
+        .iter()
+        .map(|_| Vec::with_capacity(tasks))
+        .collect();
+    for (q, out) in outgoing.iter_mut().enumerate() {
+        let mut rest = out.as_mut_slice();
+        for (row, lens) in slots.iter_mut().zip(&slot_lens) {
+            let (slot, tail) = std::mem::take(&mut rest).split_at_mut(lens[q]);
+            row.push(slot);
+            rest = tail;
+        }
+    }
+
+    // Per chunk: tuples written and filter-dropped, per destination.
+    let filled: Vec<(Vec<usize>, Vec<usize>)> = pool.install(|| {
         my_chunks
             .par_iter()
-            .map(|&c| {
+            .zip(slots.into_par_iter())
+            .map(|(&c, mut row)| {
                 // Chunk load (KmerGen-I/O): a copy from the in-memory store
                 // (MemorySource) or a real seek+read+parse from the FASTQ
                 // file (FileSource) — either way, into this thread's
@@ -144,13 +181,8 @@ pub fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
                 io_nanos.fetch_add(t_io.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
                 let t_gen = Instant::now();
-                let mut bufs: Vec<Vec<K::Tuple>> = (0..tasks)
-                    .map(|q| {
-                        let (blo, bhi) = plan.task_bin_range(pass, q);
-                        Vec::with_capacity(fastqpart.chunk_count_in_bins(c, blo, bhi) as usize)
-                    })
-                    .collect();
-                let mut dropped_per_dest = vec![0u64; tasks];
+                let mut written = vec![0usize; tasks];
+                let mut dropped = vec![0usize; tasks];
                 for (seq, frag) in &buffer {
                     let label = read_label(*frag);
                     emit_kmers::<K>(seq, k, use_x4, |v| {
@@ -160,11 +192,16 @@ pub fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
                             let dest = owner % tasks;
                             if let Some(f) = filter {
                                 if f.drops(K::sketch_key(v)) {
-                                    dropped_per_dest[dest] += 1;
+                                    dropped[dest] += 1;
                                     return;
                                 }
                             }
-                            bufs[dest].push(K::make_tuple(v, label));
+                            // A write past the slot is counted, not
+                            // performed; the check below reports it.
+                            if let Some(t) = row[dest].get_mut(written[dest]) {
+                                *t = K::make_tuple(v, label);
+                            }
+                            written[dest] += 1;
                         }
                     });
                 }
@@ -172,38 +209,46 @@ pub fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
                 gen_nanos.fetch_add(t_gen.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
                 // The index-table arithmetic must match the enumeration:
-                // every histogram-counted k-mer was either emitted or
-                // filter-dropped, never lost.
-                for (q, b) in bufs.iter().enumerate() {
-                    let (blo, bhi) = plan.task_bin_range(pass, q);
-                    debug_assert_eq!(
-                        b.len() as u64 + dropped_per_dest[q],
-                        fastqpart.chunk_count_in_bins(c, blo, bhi),
-                        "chunk {c} dest {q}: histogram disagrees with enumeration"
+                // every histogram-counted k-mer was either written or
+                // filter-dropped, never lost. Checked in release builds —
+                // a short slot would otherwise ship default tuples.
+                for (q, slot) in row.iter().enumerate() {
+                    assert_eq!(
+                        written[q] + dropped[q],
+                        slot.len(),
+                        "KmerGen conservation: chunk {c} dest {q} wrote {} and dropped {} \
+                         tuples, but FASTQPart sized its slot for {}",
+                        written[q],
+                        dropped[q],
+                        slot.len()
                     );
                 }
-                // ORDERING: Relaxed — conservation counter, summed after join.
-                dropped.fetch_add(dropped_per_dest.iter().sum::<u64>(), Ordering::Relaxed);
-                bufs
+                (written, dropped)
             })
             .collect()
     });
 
-    // Concatenate per destination, in chunk order (stable).
-    let mut outgoing: Vec<Vec<K::Tuple>> = (0..tasks).map(|_| Vec::new()).collect();
+    // Close the gaps filter drops left at the end of each slot: stable,
+    // in chunk order, a no-op without drops. The shrink returns the
+    // dropped tail, so what is sent holds exactly the surviving tuples.
     for (q, out) in outgoing.iter_mut().enumerate() {
-        let total: usize = per_chunk.iter().map(|b| b[q].len()).sum();
-        out.reserve_exact(total);
-        for bufs in &per_chunk {
-            out.extend_from_slice(&bufs[q]);
+        let (mut src, mut dst) = (0, 0);
+        for ((written, _), lens) in filled.iter().zip(&slot_lens) {
+            if src != dst {
+                out.copy_within(src..src + written[q], dst);
+            }
+            dst += written[q];
+            src += lens[q];
         }
+        out.truncate(dst);
+        out.shrink_to_fit();
     }
 
     KmerGenOutput {
         outgoing,
         io_nanos: io_nanos.into_inner(),
         gen_nanos: gen_nanos.into_inner(),
-        dropped: dropped.into_inner(),
+        dropped: filled.iter().flat_map(|(_, d)| d).map(|&d| d as u64).sum(),
     }
 }
 
@@ -525,5 +570,170 @@ mod tests {
         );
         let total: u64 = out.outgoing.iter().map(|v| v.len() as u64).sum();
         assert_eq!(total, fp.total());
+    }
+
+    /// Reference for the in-place KmerGen: enumerate chunk by chunk into
+    /// per-destination vectors, so the output is the concatenation of the
+    /// chunks' outputs. Also reports whether a filter drop left a gap in a
+    /// slot that a later chunk's tuples had to be moved over.
+    #[allow(clippy::too_many_arguments)]
+    fn chunkwise_reference<K: PipelineKmer>(
+        source: &MemorySource<'_>,
+        space: metaprep_kmer::MmerSpace,
+        tasks: usize,
+        my_chunks: &[usize],
+        bin_owner: &[u32],
+        pass: usize,
+        filter: Option<&HighFreqFilter>,
+        read_label: impl Fn(u32) -> u32,
+    ) -> (Vec<Vec<K::Tuple>>, u64, bool) {
+        let mut out: Vec<Vec<K::Tuple>> = vec![Vec::new(); tasks];
+        let mut dropped = 0u64;
+        let mut gap_before = vec![false; tasks];
+        let mut moved = false;
+        for &c in my_chunks {
+            let mut gap_here = vec![false; tasks];
+            for (seq, frag) in source.load_chunk(c) {
+                for_each_canonical_kmer::<K>(&seq, space.k(), |v, _| {
+                    let owner = bin_owner[space.bin_of(K::repr_to_u128(v)) as usize] as usize;
+                    if owner / tasks != pass {
+                        return;
+                    }
+                    let dest = owner % tasks;
+                    if filter.is_some_and(|f| f.drops(K::sketch_key(v))) {
+                        dropped += 1;
+                        gap_here[dest] = true;
+                        return;
+                    }
+                    moved |= gap_before[dest];
+                    out[dest].push(K::make_tuple(v, read_label(frag)));
+                });
+            }
+            for (before, here) in gap_before.iter_mut().zip(gap_here) {
+                *before |= here;
+            }
+        }
+        (out, dropped, moved)
+    }
+
+    /// One random case of the in-place differential; returns whether the
+    /// gap-closing moved tuples.
+    #[allow(clippy::too_many_arguments)]
+    fn in_place_matches_reference<K: PipelineKmer>(
+        store: &ReadStore,
+        k: usize,
+        chunks: usize,
+        tasks: usize,
+        passes: usize,
+        owned: u32,
+        threads: usize,
+        relabel: bool,
+        threshold: Option<u32>,
+    ) -> bool
+    where
+        K::Tuple: PartialEq + std::fmt::Debug,
+    {
+        let fp = FastqPart::build(store, chunks, k, 4);
+        let mh = MerHist::from_fastqpart(&fp).unwrap();
+        let plan = RangePlan::build(&mh, passes, tasks, 2);
+        let table = plan.bin_owner_table();
+        let my_chunks: Vec<usize> = (0..fp.len()).filter(|c| owned >> c & 1 == 1).collect();
+        let filter = threshold.map(|t| {
+            let mut sketch = metaprep_norm::SketchParams {
+                width: 1 << 12,
+                depth: 3,
+                seed: 5,
+            }
+            .build();
+            for (seq, _) in store.iter() {
+                for_each_canonical_kmer::<K>(seq, k, |v, _| sketch.add(K::sketch_key(v)));
+            }
+            HighFreqFilter::new(sketch, t)
+        });
+        let label = move |r: u32| if relabel { r / 3 } else { r };
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let src = mem_source(store, &fp);
+        let mut moved = false;
+        for pass in 0..passes {
+            let got = kmergen_pass::<K, _>(
+                &pool,
+                &src,
+                &fp,
+                &plan,
+                &my_chunks,
+                &table,
+                pass,
+                false,
+                filter.as_ref(),
+                label,
+            );
+            let (want, dropped, pass_moved) = chunkwise_reference::<K>(
+                &src,
+                fp.space(),
+                tasks,
+                &my_chunks,
+                &table,
+                pass,
+                filter.as_ref(),
+                label,
+            );
+            assert_eq!(got.outgoing, want, "pass {pass}");
+            assert_eq!(got.dropped, dropped, "pass {pass}");
+            moved |= pass_moved;
+        }
+        moved
+    }
+
+    #[test]
+    fn prop_in_place_kmergen_matches_chunkwise_concat() {
+        use proptest::prelude::*;
+        let base = proptest::sample::select(vec![b'A', b'C', b'G', b'T', b'N']);
+        let reads_strategy =
+            proptest::collection::vec(proptest::collection::vec(base, 1..70), 1..30);
+        let mut moved_cases = 0;
+        proptest::run_property(
+            &ProptestConfig::default(),
+            "prop_in_place_kmergen_matches_chunkwise_concat",
+            |rng| {
+                let reads = reads_strategy.generate(rng);
+                let tasks = (1usize..5).generate(rng);
+                let passes = (1usize..4).generate(rng);
+                let chunks = (1usize..9).generate(rng);
+                // The chunks whose bit is clear belong to another task.
+                let owned = any::<u32>().generate(rng);
+                let threads = (1usize..4).generate(rng);
+                let wide = proptest::bool::ANY.generate(rng);
+                let relabel = proptest::bool::ANY.generate(rng);
+                let filtered = proptest::bool::ANY.generate(rng);
+                // Even-indexed reads get an identical mate, so a threshold
+                // of 1 drops their k-mers and keeps most of the others.
+                let mut store = ReadStore::new();
+                for (i, r) in reads.iter().enumerate() {
+                    if i % 2 == 0 {
+                        store.push_pair(r, r);
+                    } else {
+                        store.push_single(r);
+                    }
+                }
+                let threshold = filtered.then_some(1);
+                let moved = if wide {
+                    in_place_matches_reference::<Kmer128>(
+                        &store, 35, chunks, tasks, passes, owned, threads, relabel, threshold,
+                    )
+                } else {
+                    in_place_matches_reference::<Kmer64>(
+                        &store, 11, chunks, tasks, passes, owned, threads, relabel, threshold,
+                    )
+                };
+                moved_cases += usize::from(moved);
+            },
+        );
+        assert!(
+            moved_cases > 0,
+            "no case closed a filter gap by moving tuples"
+        );
     }
 }

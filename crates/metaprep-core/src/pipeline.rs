@@ -137,21 +137,26 @@ impl Pipeline {
                 "fragment count must be < u32::MAX".into(),
             ));
         }
-        // ---- IndexCreate (sequential, timed; paper Table 5) ----
+        // ---- IndexCreate (one parallel scan, timed; paper Table 5) ----
+        // The chunk histograms are built over a `tasks × threads` pool, the
+        // thread count the file path's streaming indexer uses, and merHist
+        // is their bin-wise sum — the reads are enumerated once.
         let clock = rec.clock();
         let t0_ns = clock.now_ns();
         let c = self.cfg.effective_chunks();
-        // With the presolve tier on, the same IndexCreate scan also feeds
-        // the count-min sketch — no extra pass over the reads.
-        let (merhist, sketch) = match self.cfg.presolve_threshold {
-            Some(_) => {
-                let (h, s) =
-                    MerHist::build_sketched(reads, self.cfg.k, self.cfg.m, self.cfg.sketch);
-                (h, Some(s))
-            }
-            None => (MerHist::build(reads, self.cfg.k, self.cfg.m), None),
-        };
-        let fastqpart = FastqPart::build(reads, c, self.cfg.k, self.cfg.m);
+        let fastqpart = rayon::ThreadPoolBuilder::new()
+            .num_threads(self.cfg.tasks * self.cfg.threads)
+            .build()
+            .map_err(|e| PipelineError::InvalidConfig(format!("IndexCreate pool: {e}")))?
+            .install(|| FastqPart::build(reads, c, self.cfg.k, self.cfg.m));
+        let merhist = MerHist::from_fastqpart(&fastqpart)
+            .map_err(|e| PipelineError::InvalidInput(format!("IndexCreate: {e}")))?;
+        // With the presolve tier on, a sequential scan builds the
+        // count-min sketch; its histogram equals `merhist` and is dropped.
+        let sketch = self
+            .cfg
+            .presolve_threshold
+            .map(|_| MerHist::build_sketched(reads, self.cfg.k, self.cfg.m, self.cfg.sketch).1);
         let t1_ns = clock.now_ns();
         // Derive the duration from the span's own endpoints so a report
         // built from the exported events reproduces it exactly.
@@ -854,15 +859,17 @@ fn attempt_body<K: PipelineKmer, S: ChunkSource>(
         obs.close(t0, Step::KmerGenComm.name(), Some(pass_u32));
         obs.add(CounterKind::TuplesReceived, received as u64);
         // Per-pass tuple residency peaks twice: during the all-to-all the
-        // outgoing send buffers coexist with the received parts (out + in
-        // — the old `2 * in` accounting missed the send side and under-
-        // reported), and during the fused LocalSort's scatter the received
-        // parts coexist with the bucketed destination (2 * in; the unfused
-        // third concat copy is gone). The radix phase that follows holds
-        // only the destination plus one bucket-sized scratch per thread,
-        // so the scatter sets the sort's peak. Capacity the pooled buffers
-        // carry between passes is deliberately not modeled — the measured
-        // allocator peak covers it.
+        // outgoing send buffers coexist with the received parts (out + in),
+        // and during the fused LocalSort's scatter the received parts
+        // coexist with the bucketed destination (2 * in). KmerGen writes
+        // every tuple once, in place at its precomputed send offset, so
+        // the send side never holds a second, staging copy. (With a
+        // presolve filter the send buffers are sized at the unfiltered
+        // bound while they fill, then shrunk to the survivors this models.)
+        // The radix phase that follows holds only the destination plus one
+        // bucket-sized scratch per thread, so the scatter sets the sort's
+        // peak. Capacity the pooled buffers carry between passes is
+        // deliberately not modeled — the measured allocator peak covers it.
         peak_tuples = peak_tuples.max(out_tuples + received as u64);
         peak_tuples = peak_tuples.max(2 * received as u64);
 

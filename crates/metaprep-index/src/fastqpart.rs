@@ -1,7 +1,9 @@
 //! The `FASTQPart` chunk table (paper §3.1.2, Figure 2).
 
 use metaprep_io::{chunk_store, ChunkSpec, ReadStore};
-use metaprep_kmer::{for_each_canonical_kmer, Kmer128, Kmer64, MmerSpace};
+use metaprep_kmer::{fold_kmer_key, for_each_canonical_kmer, Kmer128, Kmer64, MmerSpace};
+use metaprep_norm::CountMinSketch;
+use rayon::prelude::*;
 
 /// One row of the `FASTQPart` table: a logical chunk plus its own m-mer
 /// histogram.
@@ -10,6 +12,8 @@ pub struct ChunkRecord {
     /// Chunk location, size, first read and read count.
     pub spec: ChunkSpec,
     /// m-mer prefix histogram of the canonical k-mers in this chunk.
+    /// Counts saturate at `u32::MAX`, which therefore means "at least
+    /// `u32::MAX`"; [`crate::MerHist::from_fastqpart`] rejects such a bin.
     pub hist: Vec<u32>,
 }
 
@@ -20,30 +24,66 @@ pub struct FastqPart {
     chunks: Vec<ChunkRecord>,
 }
 
+/// Histogram the canonical k-mers of `seqs` into `space`'s m-mer bins —
+/// the one IndexCreate scan behind both the in-memory and the file-backed
+/// chunk tables. An optional count-min sketch rides the same enumeration,
+/// keyed by the packed canonical value for `k <= 32` and by
+/// [`fold_kmer_key`] above that (the derivation KmerGen's `HighFreqFilter`
+/// probes with).
+///
+/// `for_each_canonical_kmer` is the runtime-dispatched hot path: on
+/// AVX2/NEON hosts each read is classified and 2-bit-packed by the
+/// vectorized kernels in `metaprep_kmer::simd` (`METAPREP_SIMD=scalar`
+/// pins the scalar reference).
+pub(crate) fn histogram_seqs<'a>(
+    seqs: impl Iterator<Item = &'a [u8]>,
+    space: MmerSpace,
+    mut sketch: Option<&mut CountMinSketch>,
+) -> Vec<u32> {
+    let k = space.k();
+    let mut hist = vec![0u32; space.bins()];
+    if k <= 32 {
+        for seq in seqs {
+            for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| {
+                let h = &mut hist[space.bin_of(v as u128) as usize];
+                *h = h.saturating_add(1);
+                if let Some(s) = sketch.as_deref_mut() {
+                    s.add(v);
+                }
+            });
+        }
+    } else {
+        for seq in seqs {
+            for_each_canonical_kmer::<Kmer128>(seq, k, |v, _| {
+                let h = &mut hist[space.bin_of(v) as usize];
+                *h = h.saturating_add(1);
+                if let Some(s) = sketch.as_deref_mut() {
+                    s.add(fold_kmer_key(v));
+                }
+            });
+        }
+    }
+    hist
+}
+
 impl FastqPart {
     /// Build by logically splitting `store` into `c` chunks and histogram-
-    /// ming each chunk's canonical k-mers.
+    /// ming each chunk's canonical k-mers. Chunks are histogrammed in
+    /// parallel over the current rayon pool — install a one-thread pool
+    /// for the paper's sequential IndexCreate; the table is the same for
+    /// any thread count. Derive the global merHist from it with
+    /// [`crate::MerHist::from_fastqpart`] instead of scanning again.
     pub fn build(store: &ReadStore, c: usize, k: usize, m: usize) -> Self {
         let space = MmerSpace::new(k, m);
         let chunks = chunk_store(store, c)
-            .into_iter()
+            .into_par_iter()
             .map(|spec| {
-                let mut hist = vec![0u32; space.bins()];
                 let lo = spec.first_seq as usize;
-                let hi = lo + spec.seqs as usize;
-                for i in lo..hi {
-                    let seq = store.seq(i);
-                    if k <= 32 {
-                        for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| {
-                            hist[space.bin_of(v as u128) as usize] += 1;
-                        });
-                    } else {
-                        for_each_canonical_kmer::<Kmer128>(seq, k, |v, _| {
-                            hist[space.bin_of(v) as usize] += 1;
-                        });
-                    }
+                let seqs = (lo..lo + spec.seqs as usize).map(|i| store.seq(i));
+                ChunkRecord {
+                    spec,
+                    hist: histogram_seqs(seqs, space, None),
                 }
-                ChunkRecord { spec, hist }
             })
             .collect();
         Self { space, chunks }

@@ -12,6 +12,11 @@
 //!   which exact send/receive buffer sizes and per-thread write offsets are
 //!   computed before any tuple is generated.
 //!
+//! IndexCreate scans the reads once: the chunk histograms are built in
+//! parallel (in memory by [`FastqPart::build`], from a file by
+//! [`index_fastq_file_streaming`]) and merHist is derived from them by
+//! [`MerHist::from_fastqpart`].
+//!
 //! Both tables serialize to a compact binary format ([`serial`]) so they
 //! can be built once per dataset and reused across runs — the paper's
 //! Table 5 measures exactly this step.
@@ -23,7 +28,7 @@ pub mod serial;
 pub mod streaming;
 
 pub use fastqpart::{ChunkRecord, FastqPart};
-pub use merhist::MerHist;
+pub use merhist::{BinOverflow, MerHist};
 pub use plan::{split_bins_by_weight, RangePlan};
 pub use streaming::{
     index_fastq_bytes, index_fastq_file_streaming, index_fastq_file_streaming_recorded,

@@ -1,7 +1,9 @@
 //! The global m-mer prefix histogram (`merHist`, paper §3.1.1).
 
+use crate::fastqpart::histogram_seqs;
+use crate::FastqPart;
 use metaprep_io::ReadStore;
-use metaprep_kmer::{fold_kmer_key, for_each_canonical_kmer, Kmer128, Kmer64, MmerSpace};
+use metaprep_kmer::MmerSpace;
 use metaprep_norm::{CountMinSketch, SketchParams};
 
 /// Histogram of the length-`m` prefixes of all canonical k-mers of a
@@ -15,40 +17,50 @@ pub struct MerHist {
     total: u64,
 }
 
+/// An m-mer bin whose k-mer count does not fit the table's `u32` cells:
+/// the range plan built from it would be silently wrong, so deriving the
+/// merHist fails instead. A larger `m` spreads the k-mers over more bins.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BinOverflow {
+    /// The overflowing bin.
+    pub bin: usize,
+    /// Its count summed over the chunks (chunk cells saturate, so this is
+    /// a lower bound).
+    pub count: u64,
+}
+
+impl std::fmt::Display for BinOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "m-mer bin {} counts at least {} k-mers, over the {} a merHist cell holds; \
+             use a larger m",
+            self.bin,
+            self.count,
+            u32::MAX - 1
+        )
+    }
+}
+
+impl std::error::Error for BinOverflow {}
+
 impl MerHist {
     /// Build from every read in `store` with k-mer length `k` and prefix
-    /// length `m`. Uses the 64-bit k-mer path for `k <= 32`, 128-bit above.
+    /// length `m` in one sequential scan — the reference the pipeline's
+    /// [`MerHist::from_fastqpart`] derivation is tested against. Uses the
+    /// 64-bit k-mer path for `k <= 32`, 128-bit above.
     pub fn build(store: &ReadStore, k: usize, m: usize) -> Self {
         let space = MmerSpace::new(k, m);
-        let mut counts = vec![0u32; space.bins()];
-        let mut total = 0u64;
-        let mut bump = |bin: u32| {
-            counts[bin as usize] = counts[bin as usize].saturating_add(1);
-            total += 1;
-        };
-        if k <= 32 {
-            for (seq, _) in store.iter() {
-                for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| bump(space.bin_of(v as u128)));
-            }
-        } else {
-            for (seq, _) in store.iter() {
-                for_each_canonical_kmer::<Kmer128>(seq, k, |v, _| bump(space.bin_of(v)));
-            }
-        }
-        Self {
+        Self::from_parts(
             space,
-            counts,
-            total,
-        }
+            histogram_seqs(store.iter().map(|(s, _)| s), space, None),
+        )
     }
 
     /// [`MerHist::build`] fused with a count-min frequency sketch over the
-    /// same canonical k-mer enumeration: one scan feeds both the m-mer
-    /// histogram and the presolve sketch, so enabling the probabilistic
-    /// memory tier costs no extra pass over the reads. The sketch is keyed
-    /// by the packed canonical value for `k <= 32` and by
-    /// [`fold_kmer_key`] above that. Sequential like `build`, hence
-    /// deterministic for any thread count.
+    /// same canonical k-mer enumeration. The sketch is keyed by the packed
+    /// canonical value for `k <= 32` and by `fold_kmer_key` above that.
+    /// Sequential like `build`, hence deterministic for any thread count.
     pub fn build_sketched(
         store: &ReadStore,
         k: usize,
@@ -56,89 +68,39 @@ impl MerHist {
         params: SketchParams,
     ) -> (Self, CountMinSketch) {
         let space = MmerSpace::new(k, m);
-        let mut counts = vec![0u32; space.bins()];
-        let mut total = 0u64;
         let mut sketch = params.build();
-        if k <= 32 {
-            for (seq, _) in store.iter() {
-                for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| {
-                    counts[space.bin_of(v as u128) as usize] =
-                        counts[space.bin_of(v as u128) as usize].saturating_add(1);
-                    total += 1;
-                    sketch.add(v);
-                });
-            }
-        } else {
-            for (seq, _) in store.iter() {
-                for_each_canonical_kmer::<Kmer128>(seq, k, |v, _| {
-                    counts[space.bin_of(v) as usize] =
-                        counts[space.bin_of(v) as usize].saturating_add(1);
-                    total += 1;
-                    sketch.add(fold_kmer_key(v));
-                });
-            }
-        }
-        (
-            Self {
-                space,
-                counts,
-                total,
-            },
-            sketch,
-        )
+        let counts = histogram_seqs(store.iter().map(|(s, _)| s), space, Some(&mut sketch));
+        (Self::from_parts(space, counts), sketch)
     }
 
-    /// Parallel build: per-read-range partial histograms merged with a
-    /// tree reduction. The paper's IndexCreate is sequential because it
-    /// runs once per dataset (§4.3: "can be parallelized in the same
-    /// manner" as KmerGen); this is that parallelization.
-    pub fn build_parallel(store: &ReadStore, k: usize, m: usize) -> Self {
-        use rayon::prelude::*;
-        let space = MmerSpace::new(k, m);
-        let n = store.len();
-        let chunk = n.div_ceil(rayon::current_num_threads().max(1)).max(1);
-        let ranges: Vec<(usize, usize)> = (0..n)
-            .step_by(chunk)
-            .map(|lo| (lo, (lo + chunk).min(n)))
-            .collect();
-        let (counts, total) = ranges
-            .par_iter()
-            .map(|&(lo, hi)| {
-                let mut counts = vec![0u32; space.bins()];
-                let mut total = 0u64;
-                for i in lo..hi {
-                    let seq = store.seq(i);
-                    let bump = |counts: &mut Vec<u32>, bin: u32| {
-                        counts[bin as usize] = counts[bin as usize].saturating_add(1);
-                    };
-                    if k <= 32 {
-                        for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| {
-                            bump(&mut counts, space.bin_of(v as u128));
-                            total += 1;
-                        });
-                    } else {
-                        for_each_canonical_kmer::<Kmer128>(seq, k, |v, _| {
-                            bump(&mut counts, space.bin_of(v));
-                            total += 1;
-                        });
-                    }
-                }
-                (counts, total)
+    /// Derive the global merHist as the bin-wise sum of `fp`'s chunk
+    /// histograms, so the two tables agree by construction and IndexCreate
+    /// scans the reads once. This is the one derivation both pipeline entry
+    /// points use (in-memory `FastqPart::build` and the streaming file
+    /// indexer). Sums are exact in `u64`; a bin that reaches `u32::MAX` —
+    /// which is also what a saturated chunk cell holds — fails with
+    /// [`BinOverflow`] naming the bin.
+    pub fn from_fastqpart(fp: &FastqPart) -> Result<Self, BinOverflow> {
+        let space = fp.space();
+        let mut sums = vec![0u64; space.bins()];
+        for chunk in fp.chunks() {
+            for (s, &h) in sums.iter_mut().zip(&chunk.hist) {
+                *s += u64::from(h);
+            }
+        }
+        let counts = sums
+            .iter()
+            .enumerate()
+            .map(|(bin, &count)| match u32::try_from(count) {
+                Ok(c) if c < u32::MAX => Ok(c),
+                _ => Err(BinOverflow { bin, count }),
             })
-            .reduce(
-                || (vec![0u32; space.bins()], 0u64),
-                |(mut a, ta), (b, tb)| {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x = x.saturating_add(*y);
-                    }
-                    (a, ta + tb)
-                },
-            );
-        Self {
+            .collect::<Result<Vec<u32>, _>>()?;
+        Ok(Self {
             space,
             counts,
-            total,
-        }
+            total: sums.iter().sum(),
+        })
     }
 
     /// Construct from raw parts (deserialization, tests).
@@ -289,23 +251,48 @@ mod tests {
         assert!(sketch.estimate(km.canonical_value()) >= 2);
     }
 
+    fn table_of(space: MmerSpace, hists: Vec<Vec<u32>>) -> FastqPart {
+        let spec = metaprep_io::ChunkSpec {
+            offset: 0,
+            bytes: 0,
+            first_seq: 0,
+            seqs: 0,
+        };
+        let chunks = hists
+            .into_iter()
+            .map(|hist| crate::ChunkRecord { spec, hist })
+            .collect();
+        FastqPart::from_parts(space, chunks)
+    }
+
     #[test]
-    fn parallel_build_matches_sequential() {
-        let mut store = ReadStore::new();
-        let mut x = 11u64;
-        for _ in 0..300 {
-            let seq: Vec<u8> = (0..45)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(5);
-                    b"ACGT"[(x >> 61) as usize & 3]
-                })
-                .collect();
-            store.push_single(&seq);
-        }
-        for (k, m) in [(11, 4), (35, 4)] {
-            let seq_h = MerHist::build(&store, k, m);
-            let par_h = MerHist::build_parallel(&store, k, m);
-            assert_eq!(seq_h, par_h, "k={k} m={m}");
-        }
+    fn derivation_sums_chunk_histograms() {
+        let space = MmerSpace::new(4, 1);
+        let fp = table_of(space, vec![vec![1, 0, 2, 3], vec![4, 5, 0, 6]]);
+        let h = MerHist::from_fastqpart(&fp).unwrap();
+        assert_eq!(h, MerHist::from_parts(space, vec![5, 5, 2, 9]));
+        assert_eq!(h.total(), 21);
+        let empty = MerHist::from_fastqpart(&table_of(space, vec![])).unwrap();
+        assert_eq!(empty.total(), 0);
+    }
+
+    #[test]
+    fn derivation_names_the_overflowing_bin() {
+        let space = MmerSpace::new(4, 1);
+        // Two chunks whose bin-2 counts each fit but whose sum does not.
+        let big = u32::MAX / 2 + 1;
+        let fp = table_of(space, vec![vec![0, 0, big, 1], vec![7, 0, big, 0]]);
+        let err = MerHist::from_fastqpart(&fp).unwrap_err();
+        assert_eq!(
+            err,
+            BinOverflow {
+                bin: 2,
+                count: 2 * u64::from(big)
+            }
+        );
+        assert!(err.to_string().contains("m-mer bin 2"), "{err}");
+        // A saturated chunk cell alone is already an overflow.
+        let fp = table_of(space, vec![vec![0, u32::MAX, 0, 0]]);
+        assert_eq!(MerHist::from_fastqpart(&fp).unwrap_err().bin, 1);
     }
 }

@@ -18,11 +18,13 @@
 //! demonstrates with a counting allocator. Equivalence of the two paths is
 //! property-tested in `tests/streaming_matches_inmemory.rs`.
 
-use crate::fastqpart::ChunkRecord;
+use crate::fastqpart::{histogram_seqs, ChunkRecord};
 use crate::{FastqPart, MerHist};
 use metaprep_io::stream::{StreamChunk, StreamChunker};
-use metaprep_io::{count_record_starts, count_records, parse_fastq, ChunkSpec, FastqError};
-use metaprep_kmer::{fold_kmer_key, for_each_canonical_kmer, Kmer, Kmer128, Kmer64, MmerSpace};
+use metaprep_io::{
+    count_record_starts, count_records, parse_fastq, ChunkSpec, FastqError, ReadStore,
+};
+use metaprep_kmer::MmerSpace;
 use metaprep_norm::{CountMinSketch, SketchParams};
 use metaprep_obs::{CounterKind, NoopRecorder, Recorder, SpanEvent};
 use rayon::prelude::*;
@@ -46,49 +48,9 @@ thread_local! {
     static CHUNK_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Histogram the canonical k-mers of every sequence in `store` into
-/// `space`'s m-mer bins (the per-chunk histogram of `FASTQPart`).
-///
-/// `for_each_canonical_kmer` is the runtime-dispatched hot path: on
-/// AVX2/NEON hosts each read is classified and 2-bit-packed by the
-/// vectorized kernels in `metaprep_kmer::simd` before the canonical
-/// values roll over the packed lanes (`METAPREP_SIMD=scalar` pins the
-/// scalar reference; both arms are differentially tested there and in
-/// the scalar-forced CI job).
-fn hist_of_store(store: &metaprep_io::ReadStore, space: MmerSpace, k: usize) -> Vec<u32> {
-    hist_of_store_sketched(store, space, k, None)
-}
-
-/// [`hist_of_store`] with an optional count-min sketch fed from the same
-/// canonical-k-mer enumeration: the presolve frequency sketch rides the
-/// scan that already exists instead of costing a second pass. Keys are the
-/// packed canonical value for `k <= 32` and [`fold_kmer_key`] above that —
-/// the same derivation KmerGen's `HighFreqFilter` probes with.
-fn hist_of_store_sketched(
-    store: &metaprep_io::ReadStore,
-    space: MmerSpace,
-    k: usize,
-    mut sketch: Option<&mut CountMinSketch>,
-) -> Vec<u32> {
-    let mut hist = vec![0u32; space.bins()];
-    for (seq, _) in store.iter() {
-        if k <= 32 {
-            for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| {
-                hist[space.bin_of(Kmer64::repr_to_u128(v)) as usize] += 1;
-                if let Some(s) = sketch.as_deref_mut() {
-                    s.add(v);
-                }
-            });
-        } else {
-            for_each_canonical_kmer::<Kmer128>(seq, k, |v, _| {
-                hist[space.bin_of(v) as usize] += 1;
-                if let Some(s) = sketch.as_deref_mut() {
-                    s.add(fold_kmer_key(v));
-                }
-            });
-        }
-    }
-    hist
+/// The sequences of a parsed chunk, in record order.
+fn seqs_of(store: &ReadStore) -> impl Iterator<Item = &[u8]> {
+    store.iter().map(|(seq, _)| seq)
 }
 
 /// Shift a malformed-record index so per-chunk errors report file-global
@@ -111,27 +73,25 @@ fn fit_u32(v: u64, what: &str) -> Result<u32, FastqError> {
 }
 
 /// Assemble the final tables from per-chunk `(spec, hist)` rows: the global
-/// merHist is the bin-wise sum of the chunk histograms, so the two tables
-/// are consistent by construction.
+/// merHist is derived from the chunk histograms by
+/// [`MerHist::from_fastqpart`], the same overflow-checked derivation the
+/// in-memory pipeline uses, so the two tables are consistent by
+/// construction.
 fn assemble(
     space: MmerSpace,
     rows: Vec<(ChunkSpec, Vec<u32>)>,
 ) -> Result<(MerHist, FastqPart, u64), FastqError> {
-    let mut global = vec![0u32; space.bins()];
-    let mut chunks = Vec::with_capacity(rows.len());
-    let mut total_seqs = 0u64;
-    for (spec, hist) in rows {
-        for (g, &h) in global.iter_mut().zip(&hist) {
-            *g += h;
-        }
-        total_seqs += spec.seqs as u64;
-        chunks.push(ChunkRecord { spec, hist });
-    }
-    Ok((
-        MerHist::from_parts(space, global),
-        FastqPart::from_parts(space, chunks),
-        total_seqs,
-    ))
+    let total_seqs = rows.iter().map(|(spec, _)| u64::from(spec.seqs)).sum();
+    let chunks = rows
+        .into_iter()
+        .map(|(spec, hist)| ChunkRecord { spec, hist })
+        .collect();
+    let fastqpart = FastqPart::from_parts(space, chunks);
+    let merhist = MerHist::from_fastqpart(&fastqpart).map_err(|e| FastqError::Malformed {
+        record: usize::MAX,
+        what: e.to_string(),
+    })?;
+    Ok((merhist, fastqpart, total_seqs))
 }
 
 /// In-memory reference indexer: identical tables computed from the whole
@@ -155,7 +115,7 @@ pub fn index_fastq_bytes(
         let lo = spec.offset as usize;
         let store = parse_fastq(&bytes[lo..lo + spec.bytes as usize], false)
             .map_err(|e| offset_record(e, spec.first_seq as u64))?;
-        rows.push((spec, hist_of_store(&store, space, k)));
+        rows.push((spec, histogram_seqs(seqs_of(&store), space, None)));
     }
     assemble(space, rows)
 }
@@ -205,7 +165,6 @@ fn chunk_hist(
     path: &Path,
     ch: &StreamChunk,
     space: MmerSpace,
-    k: usize,
     paired: bool,
     sketch: Option<&mut CountMinSketch>,
 ) -> Result<(u64, Vec<u32>), FastqError> {
@@ -229,7 +188,7 @@ fn chunk_hist(
                 ),
             });
         }
-        Ok((n, hist_of_store_sketched(&store, space, k, sketch)))
+        Ok((n, histogram_seqs(seqs_of(&store), space, sketch)))
     })
 }
 
@@ -237,14 +196,13 @@ fn par_histogram(
     path: &Path,
     chunks: &[StreamChunk],
     space: MmerSpace,
-    k: usize,
     paired: bool,
     pool: &rayon::ThreadPool,
 ) -> Result<Vec<(u64, Vec<u32>)>, FastqError> {
     let results: Vec<Result<(u64, Vec<u32>), FastqError>> = pool.install(|| {
         chunks
             .par_iter()
-            .map(|ch| chunk_hist(path, ch, space, k, paired, None))
+            .map(|ch| chunk_hist(path, ch, space, paired, None))
             .collect()
     });
     results.into_iter().collect()
@@ -262,7 +220,6 @@ fn par_histogram_sketched(
     path: &Path,
     chunks: &[StreamChunk],
     space: MmerSpace,
-    k: usize,
     paired: bool,
     pool: &rayon::ThreadPool,
     params: SketchParams,
@@ -283,8 +240,7 @@ fn par_histogram_sketched(
                 let mut sketch = params.build();
                 let mut rows = Vec::with_capacity(idxs.len());
                 for &i in idxs {
-                    let (n, hist) =
-                        chunk_hist(path, &chunks[i], space, k, paired, Some(&mut sketch))?;
+                    let (n, hist) = chunk_hist(path, &chunks[i], space, paired, Some(&mut sketch))?;
                     rows.push((i, n, hist));
                 }
                 Ok((rows, sketch))
@@ -407,11 +363,10 @@ pub fn index_fastq_file_streaming_sketched_recorded(
     let t0 = clock.now_ns();
     let (per_chunk, sketch) = match sketch_params {
         Some(params) => {
-            let (rows, sk) =
-                par_histogram_sketched(path, &chunks, space, k, paired, &pool, params)?;
+            let (rows, sk) = par_histogram_sketched(path, &chunks, space, paired, &pool, params)?;
             (rows, Some(sk))
         }
-        None => (par_histogram(path, &chunks, space, k, paired, &pool)?, None),
+        None => (par_histogram(path, &chunks, space, paired, &pool)?, None),
     };
     span("index-histogram", t0, clock.now_ns());
 

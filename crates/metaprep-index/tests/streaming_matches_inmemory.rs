@@ -3,9 +3,14 @@
 //! count) to the in-memory reference path for random FASTQ inputs —
 //! paired and unpaired, with and without a trailing newline, including
 //! N bases, across probe windows small enough to force the chunker's
-//! window-doubling path.
+//! window-doubling path. A second property holds the parallel in-memory
+//! `FastqPart::build` and the merHist derived from it to the sequential
+//! references at several pool sizes.
 
-use metaprep_index::{index_fastq_bytes, index_fastq_file_streaming, StreamingOptions};
+use metaprep_index::{
+    index_fastq_bytes, index_fastq_file_streaming, FastqPart, MerHist, StreamingOptions,
+};
+use metaprep_io::ReadStore;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,5 +80,41 @@ proptest! {
             prop_assert_eq!(got.2, want.2, "total_seqs, window {}", window);
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn prop_parallel_fastqpart_matches_sequential(
+        reads in proptest::collection::vec(
+            proptest::collection::vec(base(), 1..60), 0..40),
+        c in 1usize..10,
+        k in proptest::sample::select(vec![5usize, 21, 33]),
+        paired in proptest::bool::ANY,
+    ) {
+        let m = 4;
+        let mut store = ReadStore::new();
+        if paired {
+            for pair in reads.chunks_exact(2) {
+                store.push_pair(&pair[0], &pair[1]);
+            }
+        } else {
+            for seq in &reads {
+                store.push_single(seq);
+            }
+        }
+        let in_pool = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("the thread pool builder never fails")
+                .install(|| FastqPart::build(&store, c, k, m))
+        };
+        let reference = in_pool(1);
+        let want = MerHist::build(&store, k, m);
+        for threads in [1usize, 2, 4] {
+            let fp = in_pool(threads);
+            prop_assert_eq!(&fp, &reference, "FastqPart, {} threads", threads);
+            let derived = MerHist::from_fastqpart(&fp).expect("no bin overflows");
+            prop_assert_eq!(&derived, &want, "MerHist, {} threads", threads);
+        }
     }
 }

@@ -152,10 +152,12 @@ impl ReadStore {
     /// Byte size of sequence `i`'s FASTQ record as written by
     /// [`crate::write::write_fastq`] (used by the chunking model).
     pub fn record_bytes(&self, i: usize) -> usize {
-        let name_len = self
-            .name(i)
-            .map(|n| n.len())
-            .unwrap_or_else(|| format!("r{}", i).len());
+        // An unnamed record is written as `r{i}`: one byte plus the
+        // decimal digits of `i`, counted without formatting it.
+        let name_len = self.name(i).map_or(
+            1 + i.checked_ilog10().map_or(1, |d| d as usize + 1),
+            str::len,
+        );
         let seq_len = self.seq(i).len();
         // '@' + name + '\n' + seq + '\n' + '+' + '\n' + qual + '\n'
         1 + name_len + 1 + seq_len + 1 + 1 + 1 + seq_len + 1
@@ -337,5 +339,21 @@ mod tests {
         s.set_last_qual(b"IIII");
         // @r0\nACGT\n+\nIIII\n = 1+2+1+4+1+1+1+4+1 = 16
         assert_eq!(s.record_bytes(0), 16);
+    }
+
+    #[test]
+    fn unnamed_record_bytes_count_the_default_name() {
+        let mut s = ReadStore::new();
+        for _ in 0..1001 {
+            s.push_single(b"AC");
+        }
+        for i in [0usize, 1, 9, 10, 11, 99, 100, 999, 1000] {
+            // @r{i}\nAC\n+\nII\n
+            assert_eq!(
+                s.record_bytes(i),
+                format!("@r{i}\nAC\n+\nII\n").len(),
+                "i={i}"
+            );
+        }
     }
 }
